@@ -8,26 +8,12 @@ differentiation throughout.
 
 from .chart import ManifoldChart, jet_point
 from .catalog import CatalogEntry, StructureSpec
-from .cone import (
-    ConeChart,
-    ConeSampleSet,
-    build_cone,
-    check_connection_relations,
-    check_curvature_relation,
-    check_lemma_codiff,
-    check_lemma_laplacian,
-    lift_form,
-    lift_vector,
-)
+from .cone import ConeChart, build_cone, lift_form
 from .contact import (
     ConeSymplecticData,
     ContactMetricStructure,
     build_cone_symplectic,
     build_contact,
-    kcontact_via_ricci,
-    killing_residual,
-    parallel_omega_residual,
-    sasaki_residual,
 )
 from .errors import (
     ConeCompletionError,
@@ -53,21 +39,10 @@ from .geometry import (
     riemann,
     scalar_curvature,
 )
-from .jets import Jet, JetScalar
-from .pairs import (
-    StructurePair,
-    anticommutator_lambda,
-    build_third_structure,
-    s2_family_check,
-)
+from .jets import Jet
+from .pairs import StructurePair, anticommutator_lambda
 from .report import CheckReport, SuiteConfig, report_json
 from .suites import SUITES, integrate_level_set, run_suite
-from .weitzenboeck import (
-    RadialProfile,
-    WeitzenboeckPointData,
-    extract_radial_profile,
-    weitzenboeck_data,
-    weitzenboeck_solve,
-)
+from .weitzenboeck import WeitzenboeckPointData, weitzenboeck_data
 
 __version__ = "0.1.0"

@@ -45,6 +45,8 @@ class CatalogEntry:
     chart: ManifoldChart
     structures: Tuple[StructureSpec, ...]
     quadrature: Tuple[int, ...]      # default nodes per coordinate
+    # tuned nodes for the curvature-heavy level-set integrands
+    curvature_quadrature: Tuple[int, ...]
     known_values: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -94,6 +96,9 @@ def blair_t3() -> CatalogEntry:
         chart=chart,
         structures=(StructureSpec("blair", xi, "contact-metric"),),
         quadrature=(32, 32, 32),
+        # every structure scalar depends on t alone, and the trapezoidal
+        # rule is exact transversally with a handful of nodes
+        curvature_quadrature=(32, 8, 8),
         known_values={
             "volume": np.pi**3,
             "scalar_curvature": 0.0,
@@ -119,6 +124,7 @@ def flat_t3_unnormalized() -> CatalogEntry:
         chart=chart,
         structures=(StructureSpec("printed", xi, "not-contact-metric"),),
         quadrature=(32, 32, 32),
+        curvature_quadrature=(32, 8, 8),
         known_values={"volume": TWO_PI**3, "kc_residual": 0.75},
     )
 
@@ -193,6 +199,9 @@ def round_sphere(n: int) -> CatalogEntry:
             chart=_s3_chart(),
             structures=structures,
             quadrature=(24, 16, 16),
+            # the nonnegative integrands vanish pointwise on the flat cone,
+            # so positive-weight quadrature bounds them by their sup
+            curvature_quadrature=(8, 6, 6),
             known_values={
                 "volume": 2 * np.pi**2,
                 "scalar_curvature": 6.0,
@@ -231,6 +240,7 @@ def round_sphere(n: int) -> CatalogEntry:
             chart=chart,
             structures=(StructureSpec("i", xi, "sasakian"),),
             quadrature=(16, 16, 12, 12, 12),
+            curvature_quadrature=(6, 6, 4, 4, 4),  # dim-6 cone: keep it small
             known_values={
                 "volume": np.pi**3,
                 "scalar_curvature": 20.0,

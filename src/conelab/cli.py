@@ -6,8 +6,10 @@
     conelab list
     conelab integrate <integrand> --manifold <id> --radius r [--grid N]
 
-Exit codes: 0 all identities pass, 1 failures or engine errors, 2 usage.
-A JSON config file may supply the same fields as the flags; flags win.
+Exit codes: 0 all identities pass, 1 failures or engine errors, 2 usage
+(including sample counts, jet orders, grid counts or radii out of range).
+The reason for each `error` verdict goes to stderr.  A JSON config file may
+supply the same fields as the flags; flags win.
 """
 
 from __future__ import annotations
@@ -37,9 +39,12 @@ def _parse_tol(items):
 def _parse_grid(text):
     if text is None:
         return None
-    if "," in text:
-        return tuple(int(v) for v in text.split(","))
-    return int(text)
+    try:
+        if "," in text:
+            return tuple(int(v) for v in text.split(","))
+        return int(text)
+    except ValueError:
+        raise SuiteUsageError(f"--grid expects N or N1,N2,..., got {text!r}")
 
 
 def build_parser():
@@ -104,6 +109,8 @@ def _print_reports(reports):
         mx = "n/a" if r.max_residual is None else f"{r.max_residual:.3e}"
         print(f"[{r.verdict.upper():5s}] {r.identity:36s} "
               f"max={mx:>10s} tol={r.tolerance:.1e}  ({r.anchor})")
+        if r.message:
+            print(f"{r.identity}: {r.message}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -133,7 +140,10 @@ def main(argv=None) -> int:
             print(f"{value!r}")
             return 0
 
-        config = _load_config(args)
+        try:
+            config = _load_config(args)
+        except (OSError, TypeError, ValueError) as exc:
+            raise SuiteUsageError(f"bad config file {args.config!r}: {exc}") from None
         reports = run_suite(config)
         _print_reports(reports)
         ok = all_pass(reports)

@@ -22,7 +22,6 @@ from .chart import ManifoldChart
 from .errors import ConeCompletionError
 from .geometry import (
     PointGeometry,
-    TensorField,
     interior_product,
     norm_squared,
     tvalues,
@@ -47,7 +46,11 @@ class ConeChart:
         return self.base.dim + 1
 
 
-def build_cone(base: ManifoldChart, r_range=(0.25, 4.0)) -> ConeChart:
+# radial range of every catalog cone; the apex r = 0 is excluded
+R_RANGE = (0.25, 4.0)
+
+
+def build_cone(base: ManifoldChart, r_range=R_RANGE) -> ConeChart:
     lo, hi = r_range
     if lo <= 0.0:
         raise ConeCompletionError(
@@ -88,19 +91,6 @@ def _zero(like: Jet) -> Jet:
 # -- lifts --------------------------------------------------------------------
 
 
-def lift_vector(base_fn: Callable) -> Callable:
-    """Extend a base vector field by r-independent components, no dr part."""
-
-    def fn(x):
-        comps = base_fn(x[:-1])
-        out = np.empty(len(x), object)
-        out[:-1] = comps
-        out[-1] = _zero(out[0])
-        return out
-
-    return fn
-
-
 def lift_form(base_fn: Callable, degree: int) -> Callable:
     """Pull a base p-form back along the projection (zero dr components)."""
 
@@ -121,19 +111,6 @@ def lift_form(base_fn: Callable, degree: int) -> Callable:
         return out
 
     return fn
-
-
-def constant_vector(components) -> TensorField:
-    """Chart vector field with constant coordinate components."""
-    comps = np.asarray(components, float)
-
-    def fn(x):
-        out = np.empty(len(comps), object)
-        for i, c in enumerate(comps):
-            out[i] = Jet.constant(np.full(x[0].batch, c), x[0].dim, x[0].order)
-        return out
-
-    return TensorField((1, 0), fn)
 
 
 # -- residual kernels ---------------------------------------------------------
@@ -373,96 +350,3 @@ def block_metric_residuals(cone, base_points, radii):
     res_mixed = np.max(np.abs(gc[:, d, :d]), axis=1)
     res_base = np.max(np.abs(gc[:, :d, :d] - r[:, None, None] ** 2 * gb), axis=(1, 2))
     return np.maximum(res_rr, np.maximum(res_mixed, res_base))
-
-
-# -- report-producing check operations ------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConeSampleSet:
-    """Joint sample draw for the cone identity checks."""
-
-    base_points: np.ndarray      # (B, dim)
-    radii: np.ndarray            # (B,)
-    dir_x: np.ndarray            # (B, dim) constant-component base fields
-    dir_y: np.ndarray
-    dir_z: np.ndarray
-
-    @classmethod
-    def draw(cls, cone: ConeChart, n: int, rng, r_lo=0.5, r_hi=3.0):
-        pts = cone.base.sample_points(n, rng)
-        radii = rng.uniforms(n, r_lo, r_hi)
-        d = cone.base.dim
-        dx, dy, dz = (np.array([rng.unit_vector(d) for _ in range(n)])
-                      for _ in range(3))
-        return cls(pts, radii, dx, dy, dz)
-
-    @property
-    def cone_points(self):
-        return np.column_stack([self.base_points, self.radii])
-
-
-def check_connection_relations(cone: ConeChart, samples: ConeSampleSet,
-                               tolerance: float = 1e-7):
-    """One report per identity relating the two covariant derivatives."""
-    from .report import make_report
-
-    res = connection_relation_residuals(
-        cone, samples.base_points, samples.radii, samples.dir_x, samples.dir_y)
-    reports = [make_report(f"cone-{key}", "Eq. (1)", vals, tolerance,
-                           samples.cone_points)
-               for key, vals in res.items()]
-    onef = form_relation_residuals(cone, samples.base_points, samples.radii,
-                                   samples.dir_x, _generic_oneform, 1)
-    reports += [make_report(f"cone-oneform-{key.split('-')[1]}", "Eq. (2)",
-                            vals, tolerance, samples.cone_points)
-                for key, vals in onef.items()]
-    drs = dr_relation_residuals(cone, samples.base_points, samples.radii,
-                                samples.dir_x)
-    reports += [make_report(f"cone-{key}", "Eq. (3)", vals, tolerance,
-                            samples.cone_points)
-                for key, vals in drs.items()]
-    return reports
-
-
-def _generic_oneform(x):
-    from .jets import cos, sin
-
-    out = np.empty(len(x), object)
-    out[0] = sin(x[0])
-    out[1] = cos(x[1]) + sin(x[0])
-    for i in range(2, len(out)):
-        out[i] = x[0] * 0.0 + 0.5
-    return out
-
-
-def check_curvature_relation(cone: ConeChart, samples: ConeSampleSet,
-                             tolerance: float = 1e-7):
-    from .report import make_report
-
-    res = curvature_relation_residuals(
-        cone, samples.base_points, samples.radii, samples.dir_x,
-        samples.dir_y, samples.dir_z)
-    return [make_report(f"cone-{key}", "Eq. (4)", vals, tolerance,
-                        samples.cone_points)
-            for key, vals in res.items()]
-
-
-def check_lemma_codiff(cone: ConeChart, sigma_base_fn, k: int,
-                       samples: ConeSampleSet, tolerance: float = 1e-6):
-    from .report import make_report
-
-    res, _, _ = lemma_codifferential_residuals(
-        cone, samples.base_points, samples.radii, sigma_base_fn, k)
-    return make_report(f"cone-codifferential-k{k:+d}", "Lemma 2.2(i)", res,
-                       tolerance, samples.cone_points)
-
-
-def check_lemma_laplacian(cone: ConeChart, f_base_fn, k: int,
-                          samples: ConeSampleSet, tolerance: float = 1e-6):
-    from .report import make_report
-
-    res, _, _ = lemma_laplacian_residuals(
-        cone, samples.base_points, samples.radii, f_base_fn, k)
-    return make_report(f"cone-laplacian-k{k:+d}", "Lemma 2.2(ii)", res,
-                       tolerance, samples.cone_points)

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .chart import ManifoldChart, jet_point
-from .cone import ConeChart, build_cone
+from .cone import R_RANGE, ConeChart, build_cone
 from .errors import IncompatibleStructureError, NotContactMetricError
 from .geometry import (
     PointGeometry,
@@ -264,7 +264,7 @@ def _base_view(cone: ConeChart, geo: PointGeometry) -> PointGeometry:
 
 
 def build_cone_symplectic(structure: ContactMetricStructure,
-                          r_range=(0.25, 4.0), tol: float = 1e-8,
+                          r_range=R_RANGE, tol: float = 1e-8,
                           probes: int = 25,
                           rng: Optional[SplitMix64] = None) -> ConeSymplecticData:
     cone = build_cone(structure.chart, r_range)
@@ -312,45 +312,3 @@ def parallel_omega_residuals(data: ConeSymplecticData, points, order=3):
     nab = tvalues(geo.covd(data.omega(geo), (0, 2)))
     return np.sqrt(np.abs(norm_squared(
         geo.g_values, geo.ginv_values, nab, "lll")))
-
-
-# -- report-producing operations ------------------------------------------------
-
-
-def killing_residual(structure: ContactMetricStructure, points,
-                     tolerance: float = 1e-7):
-    """Lie-derivative residual of the metric along xi, as a report."""
-    from .report import make_report
-
-    return make_report(f"killing-field:{structure.name}",
-                       "K-contact (xi Killing)",
-                       killing_residuals(structure, points), tolerance, points)
-
-
-def kcontact_via_ricci(structure: ContactMetricStructure, points,
-                       tolerance: float = 1e-7):
-    """Pointwise Ric(xi, xi) - 2n, reported with its sign folded into |.|."""
-    from .report import make_report
-
-    return make_report(f"ricci-reeb-criterion:{structure.name}",
-                       "Ric(xi,xi) = 2n",
-                       np.abs(ricci_reeb_deficit(structure, points)),
-                       tolerance, points)
-
-
-def sasaki_residual(structure: ContactMetricStructure, points,
-                    tolerance: float = 1e-7):
-    from .report import make_report
-
-    return make_report(f"sasaki-defect:{structure.name}", "Eq. (xd)",
-                       sasaki_residuals(structure, points), tolerance, points)
-
-
-def parallel_omega_residual(data: ConeSymplecticData, cone_points,
-                            tolerance: float = 1e-7):
-    from .report import make_report
-
-    return make_report(f"parallel-omega:{data.structure.name}",
-                       "parallel Omega iff Sasakian",
-                       parallel_omega_residuals(data, cone_points), tolerance,
-                       cone_points)

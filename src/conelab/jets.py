@@ -338,10 +338,6 @@ class Jet:
         return f"Jet(dim={self.dim}, order={self.order}, batch={self.batch})"
 
 
-# The name used in discussions of the data model.
-JetScalar = Jet
-
-
 # -- dual-use math helpers (jets or plain arrays) ----------------------------
 
 def sin(v):

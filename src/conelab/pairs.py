@@ -179,30 +179,3 @@ def s2_family_coefficients(pair: StructurePair, third: ConeSymplecticData,
         geo.g_values, geo.ginv_values, jpp - recon, "ul")))
     unit_defect = np.abs(np.einsum("zc,zc->z", coeffs, coeffs) - 1.0)
     return coeffs, residual, unit_defect
-
-
-def build_third_structure(pair: StructurePair, points, lam: float,
-                          tol: float = 1e-6):
-    """Validated third complex structure I at the sample points.
-
-    Raises DegeneratePairError near |lambda| = 2; checks I^2 = -Id and the
-    anticommutation relations before handing the values back.
-    """
-    res = third_structure_residuals(pair, points, lam)
-    worst = max(float(np.max(v)) for v in res.values())
-    if worst > tol:
-        raise ImpossiblePairError(
-            f"third structure fails its algebra (residual {worst:.3e})")
-    _, _, _, i_ = third_structure_values(pair, points, lam)
-    return i_
-
-
-def s2_family_check(pair: StructurePair, third, points, lam: float,
-                    tolerance: float = 1e-8):
-    """Expansion of a third structure over (I, J, K), as a report."""
-    from .report import make_report
-
-    _, resid, unit = s2_family_coefficients(pair, third, points, lam)
-    return make_report("s2-family-membership",
-                       "S^2-family of Sasakian structures",
-                       np.maximum(resid, unit), tolerance, points)

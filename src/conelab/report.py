@@ -28,6 +28,8 @@ class CheckReport:
     tolerance: float
     verdict: str                      # pass | fail | error
     witness: Optional[Tuple[float, ...]]
+    # why an `error` verdict was reached; diagnostics only, never serialised
+    message: str = ""
 
     def to_dict(self):
         return {
@@ -44,13 +46,23 @@ class CheckReport:
 
 def make_report(identity: str, anchor: str, residuals, tolerance: float,
                 points=None) -> CheckReport:
-    """Summarise per-sample residual magnitudes into a report."""
+    """Summarise per-sample residual magnitudes into a report.
+
+    A non-finite residual makes the verdict `error`, with null residuals and
+    the first non-finite sample as witness.
+    """
     res = np.atleast_1d(np.asarray(residuals, float))
-    k = int(np.argmax(res))
+    finite = np.isfinite(res)
+    k = int(np.argmax(res)) if finite.all() else int(np.argmin(finite))
     witness = None
     if points is not None:
         pts = np.atleast_2d(np.asarray(points, float))
         witness = tuple(float(v) for v in pts[min(k, pts.shape[0] - 1)])
+    if not finite.all():
+        return CheckReport(identity, anchor, int(res.size), None, None,
+                           float(tolerance), "error", witness,
+                           f"{res.size - int(finite.sum())} of {res.size} "
+                           "residuals are not finite")
     mx = float(np.max(res))
     rms = float(np.sqrt(np.mean(res**2)))
     verdict = "pass" if mx <= tolerance else "fail"
@@ -61,7 +73,7 @@ def make_report(identity: str, anchor: str, residuals, tolerance: float,
 def error_report(identity: str, anchor: str, tolerance: float,
                  message: str = "") -> CheckReport:
     return CheckReport(identity, anchor, 0, None, None, float(tolerance),
-                       "error", None)
+                       "error", None, message)
 
 
 @dataclass
@@ -102,7 +114,7 @@ def report_json(config: SuiteConfig, reports: List[CheckReport]) -> str:
         "engine_version": ENGINE_VERSION,
         "reports": [r.to_dict() for r in reports],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def all_pass(reports: List[CheckReport]) -> bool:

@@ -1,17 +1,24 @@
-"""Identity suites: deterministic sampling, dispatch, report assembly.
+"""Identity suites: deterministic sampling and declarative identity tables.
 
 Each suite draws its sample sets from a single splitmix64 stream seeded by
-the config, runs the module kernels, and emits one CheckReport per identity.
+the config and lays its identities out as a table of rows.  A row lists the
+identities that one kernel call measures, each with its anchor and default
+tolerance, and a thunk that runs the kernel and returns (one residual array
+per identity, witness points).  One runner turns the rows into one
+CheckReport per identity; a kernel that raises becomes an `error` report for
+every identity of its row, so a suite always emits the same identity set.
 Failing identities are reported, not raised: the torus fixtures are supposed
 to fail some of these checks, and the reports are the point.
 """
 
 from __future__ import annotations
 
+from functools import cache
+from typing import Callable, NamedTuple, Sequence, Tuple
+
 import numpy as np
 
 from . import catalog, cone as cone_mod, contact, pairs, quadrature, weitzenboeck
-from .errors import EngineError
 from .jets import cos, sin
 from .report import SuiteConfig, error_report, make_report
 from .rng import SplitMix64
@@ -23,18 +30,28 @@ R_LO, R_HI = 0.5, 3.0
 
 
 class SuiteUsageError(Exception):
-    """Bad suite/manifold combination or unknown name (CLI exit 2)."""
+    """Unknown name, bad suite/manifold combination or out-of-range value
+    (CLI exit 2)."""
+
+
+class Row(NamedTuple):
+    """The identities one kernel call measures, in report order.
+
+    checks holds (identity, anchor, default tolerance) per identity; kernel()
+    returns (one residual array per check, witness points or None).
+    """
+
+    checks: Sequence[Tuple[str, str, float]]
+    kernel: Callable[[], tuple]
 
 
 def run_suite(config: SuiteConfig):
     if config.suite not in SUITES:
         raise SuiteUsageError(
             f"unknown suite {config.suite!r}; known: {', '.join(SUITES)}")
-    try:
-        entry = catalog.get(config.manifold)
-    except KeyError as exc:
-        raise SuiteUsageError(str(exc)) from None
-    runner = {
+    entry = _entry(config.manifold)
+    _validate(entry, config)
+    table = {
         "cone-identities": _cone_identities,
         "contact-axioms": _contact_axioms,
         "kcontact": _kcontact,
@@ -43,16 +60,78 @@ def run_suite(config: SuiteConfig):
         "hypersasaki": _hypersasaki,
         "integration": _integration,
     }[config.suite]
-    return runner(entry, config)
+    return _run_rows(config, table(entry, config))
+
+
+def _run_rows(config, rows):
+    """One report per identity; a kernel that raises errors its whole row."""
+    reports = []
+    for checks, kernel in rows:
+        try:
+            residuals, points = kernel()
+        except Exception as exc:
+            message = f"{type(exc).__name__}: {exc}"
+            reports += [error_report(identity, anchor,
+                                     config.tolerance(identity, tol), message)
+                        for identity, anchor, tol in checks]
+            continue
+        reports += [make_report(identity, anchor, res,
+                                config.tolerance(identity, tol), points)
+                    for (identity, anchor, tol), res
+                    in zip(checks, residuals, strict=True)]
+    return reports
+
+
+# -- input validation -----------------------------------------------------------
+
+
+def _entry(manifold):
+    try:
+        return catalog.get(manifold)
+    except KeyError as exc:
+        raise SuiteUsageError(str(exc)) from None
+
+
+def _validate(entry, config):
+    if config.samples < 1:
+        raise SuiteUsageError(f"samples must be at least 1, got {config.samples}")
+    if config.jet_order is not None and config.jet_order < 1:
+        raise SuiteUsageError(
+            f"jet order must be at least 1, got {config.jet_order}")
+    if config.grid is not None:
+        _grid_counts(entry, config.grid)
+    for r in config.radii:
+        _check_radius(r)
+    for identity, tol in config.tolerances.items():
+        if not np.isfinite(tol):
+            raise SuiteUsageError(f"tolerance for {identity!r} is not finite")
+
+
+def _grid_counts(entry, grid):
+    """Node counts per base coordinate from an int or a per-coordinate tuple."""
+    dim = entry.chart.dim
+    counts = (grid,) * dim if np.ndim(grid) == 0 else tuple(grid)
+    if len(counts) != dim or not all(
+            isinstance(c, (int, np.integer)) and c >= 1 for c in counts):
+        raise SuiteUsageError(
+            f"grid needs {dim} node counts of at least 1, got {grid!r}")
+    return counts
+
+
+def _check_radius(r):
+    lo, hi = cone_mod.R_RANGE
+    if not lo < r < hi:
+        raise SuiteUsageError(
+            f"radius {r!r} outside the cone's radial range ({lo}, {hi})")
 
 
 # -- sampling -----------------------------------------------------------------
 
 
-def _draw(entry, config, n=None):
+def _draw(entry, config):
     """Points, radii and three direction fields, all from one stream."""
     rng = SplitMix64(config.seed)
-    B = n if n is not None else config.samples
+    B = config.samples
     pts = entry.chart.sample_points(B, rng)
     radii = rng.uniforms(B, R_LO, R_HI)
     d = entry.chart.dim
@@ -64,13 +143,9 @@ def _cone_points(pts, radii):
     return np.column_stack([pts, radii])
 
 
-def _guarded(reports, identity, anchor, tol, builder):
-    """Run one identity builder, catching engine errors into a report."""
-    try:
-        residuals, points = builder()
-        reports.append(make_report(identity, anchor, residuals, tol, points))
-    except EngineError:
-        reports.append(error_report(identity, anchor, tol))
+def _picked(res, keys, points):
+    """Kernel result for the residuals stored under `keys` of a dict."""
+    return [res[key] for key in keys], points
 
 
 # -- lemma test fixtures --------------------------------------------------------
@@ -125,6 +200,10 @@ def _test_twoform(dim):
 
 # -- suites ---------------------------------------------------------------------
 
+_CONNECTION = ("radial-geodesic", "radial-lift", "radial-transport",
+               "mixed-symmetry", "horizontal-connection")
+_LEMMA_WEIGHTS = (-2, 0, 1, 2, 3)
+
 
 def _cone_identities(entry, config):
     cn = cone_mod.build_cone(entry.chart)
@@ -133,221 +212,139 @@ def _cone_identities(entry, config):
     order = config.jet_order or 3
     geo = cone_mod.cone_geometry(cn, pts, radii, order)
     bgeo = cone_mod.base_geometry(cn, pts, order)
-    reports = []
+    dim = entry.chart.dim
 
-    def tol(identity, default=1e-7):
-        return config.tolerance(identity, default)
-
-    _guarded(reports, "cone-block-metric", "ConeChart (g = dr^2 + r^2 g_M)",
-             tol("cone-block-metric", 1e-12),
-             lambda: (cone_mod.block_metric_residuals(cn, pts, radii), cpts))
-
-    def conn():
-        res = cone_mod.connection_relation_residuals(
-            cn, pts, radii, dirs[0], dirs[1], geo=geo, bgeo=bgeo)
-        return res
-
-    try:
-        conn_res = conn()
-        names = {
-            "cone-radial-geodesic": "radial-geodesic",
-            "cone-radial-lift": "radial-lift",
-            "cone-radial-transport": "radial-transport",
-            "cone-mixed-symmetry": "mixed-symmetry",
-            "cone-horizontal-connection": "horizontal-connection",
-        }
-        for identity, key in names.items():
-            reports.append(make_report(identity, "Eq. (1)", conn_res[key],
-                                       tol(identity), cpts))
-    except EngineError:
-        reports.append(error_report("cone-connection", "Eq. (1)", 1e-7))
-
-    for degree, prefix in ((1, "cone-oneform"), (2, "cone-twoform")):
-        form_fn = (_lemma_oneforms(entry.chart.dim)[3] if degree == 1
-                   else _test_twoform(entry.chart.dim))
-
-        def forms(fn=form_fn, p=degree):
-            res = cone_mod.form_relation_residuals(
-                cn, pts, radii, dirs[0], fn, p, geo=geo, bgeo=bgeo)
-            return res
-
-        try:
-            fr = forms()
-            reports.append(make_report(f"{prefix}-radial", "Eq. (2)",
-                                       fr["form-radial"],
-                                       tol(f"{prefix}-radial"), cpts))
-            reports.append(make_report(f"{prefix}-directional", "Eq. (2)",
-                                       fr["form-directional"],
-                                       tol(f"{prefix}-directional"), cpts))
-        except EngineError:
-            reports.append(error_report(f"{prefix}", "Eq. (2)", 1e-7))
-
-    def drres():
-        res = cone_mod.dr_relation_residuals(cn, pts, radii, dirs[0],
-                                             geo=geo, bgeo=bgeo)
-        return res
-
-    try:
-        dr = drres()
-        reports.append(make_report("cone-dr-radial", "Eq. (3)",
-                                   dr["dr-radial"], tol("cone-dr-radial"), cpts))
-        reports.append(make_report("cone-dr-hessian", "Eq. (3)",
-                                   dr["dr-hessian"], tol("cone-dr-hessian"), cpts))
-    except EngineError:
-        reports.append(error_report("cone-dr", "Eq. (3)", 1e-7))
-
-    def curv():
-        return cone_mod.curvature_relation_residuals(
-            cn, pts, radii, dirs[0], dirs[1], dirs[2], geo=geo, bgeo=bgeo)
-
-    try:
-        cv = curv()
-        reports.append(make_report("cone-curvature-radial", "Eq. (4)",
-                                   cv["curvature-radial"],
-                                   tol("cone-curvature-radial"), cpts))
-        reports.append(make_report("cone-curvature-horizontal", "Eq. (4)",
-                                   cv["curvature-horizontal"],
-                                   tol("cone-curvature-horizontal"), cpts))
-    except EngineError:
-        reports.append(error_report("cone-curvature", "Eq. (4)", 1e-7))
-
-    # Lemma sweep: k in {-2, 0, 1, 2, 3} across five trig fixtures each
-    ks = (-2, 0, 1, 2, 3)
+    def forms(fn, degree):
+        res = cone_mod.form_relation_residuals(cn, pts, radii, dirs[0], fn,
+                                               degree, geo=geo, bgeo=bgeo)
+        return _picked(res, ("form-radial", "form-directional"), cpts)
 
     def codiff_sweep():
-        worst = None
-        for k in ks:
-            for fn in _lemma_oneforms(entry.chart.dim):
-                r, _, _ = cone_mod.lemma_codifferential_residuals(
-                    cn, pts, radii, fn, k, geo=geo, bgeo=bgeo)
-                worst = r if worst is None else np.maximum(worst, r)
-        return worst, cpts
-
-    _guarded(reports, "cone-codifferential-weights", "Lemma 2.2(i)",
-             tol("cone-codifferential-weights", 1e-6), codiff_sweep)
+        return [np.maximum.reduce([
+            cone_mod.lemma_codifferential_residuals(
+                cn, pts, radii, fn, k, geo=geo, bgeo=bgeo)[0]
+            for k in _LEMMA_WEIGHTS for fn in _lemma_oneforms(dim)])], cpts
 
     def lap_sweep():
-        worst = None
-        for k in ks:
-            for fn in _lemma_functions():
-                r, _, _ = cone_mod.lemma_laplacian_residuals(
-                    cn, pts, radii, fn, k, geo=geo, bgeo=bgeo)
-                worst = r if worst is None else np.maximum(worst, r)
-        return worst, cpts
-
-    _guarded(reports, "cone-laplacian-weights", "Lemma 2.2(ii)",
-             tol("cone-laplacian-weights", 1e-6), lap_sweep)
+        return [np.maximum.reduce([
+            cone_mod.lemma_laplacian_residuals(
+                cn, pts, radii, fn, k, geo=geo, bgeo=bgeo)[0]
+            for k in _LEMMA_WEIGHTS for fn in _lemma_functions()])], cpts
 
     def lap_r2():
         one = lambda x: x[0] * 0.0 + 1.0
         _, lhs, _ = cone_mod.lemma_laplacian_residuals(
             cn, pts, radii, one, 2, geo=geo, bgeo=bgeo)
-        target = -2.0 * (2 * cn.n + 2)
-        return np.abs(lhs - target), cpts
+        return [np.abs(lhs - (-2.0 * (2 * cn.n + 2)))], cpts
 
-    _guarded(reports, "cone-laplacian-radial-quadratic", "Lemma 2.2(ii)",
-             tol("cone-laplacian-radial-quadratic", 1e-9), lap_r2)
-
-    return reports
+    return [
+        Row([("cone-block-metric", "ConeChart (g = dr^2 + r^2 g_M)", 1e-12)],
+            lambda: ([cone_mod.block_metric_residuals(cn, pts, radii)], cpts)),
+        Row([(f"cone-{key}", "Eq. (1)", 1e-7) for key in _CONNECTION],
+            lambda: _picked(cone_mod.connection_relation_residuals(
+                cn, pts, radii, dirs[0], dirs[1], geo=geo, bgeo=bgeo),
+                _CONNECTION, cpts)),
+        Row([("cone-oneform-radial", "Eq. (2)", 1e-7),
+             ("cone-oneform-directional", "Eq. (2)", 1e-7)],
+            lambda: forms(_lemma_oneforms(dim)[3], 1)),
+        Row([("cone-twoform-radial", "Eq. (2)", 1e-7),
+             ("cone-twoform-directional", "Eq. (2)", 1e-7)],
+            lambda: forms(_test_twoform(dim), 2)),
+        Row([("cone-dr-radial", "Eq. (3)", 1e-7),
+             ("cone-dr-hessian", "Eq. (3)", 1e-7)],
+            lambda: _picked(cone_mod.dr_relation_residuals(
+                cn, pts, radii, dirs[0], geo=geo, bgeo=bgeo),
+                ("dr-radial", "dr-hessian"), cpts)),
+        Row([("cone-curvature-radial", "Eq. (4)", 1e-7),
+             ("cone-curvature-horizontal", "Eq. (4)", 1e-7)],
+            lambda: _picked(cone_mod.curvature_relation_residuals(
+                cn, pts, radii, dirs[0], dirs[1], dirs[2], geo=geo, bgeo=bgeo),
+                ("curvature-radial", "curvature-horizontal"), cpts)),
+        Row([("cone-codifferential-weights", "Lemma 2.2(i)", 1e-6)],
+            codiff_sweep),
+        Row([("cone-laplacian-weights", "Lemma 2.2(ii)", 1e-6)], lap_sweep),
+        Row([("cone-laplacian-radial-quadratic", "Lemma 2.2(ii)", 1e-9)],
+            lap_r2),
+    ]
 
 
 def _structures(entry):
-    return [(spec, contact.ContactMetricStructure(entry.chart, spec.xi, spec.name))
+    """(identity suffix, structure) per catalogued structure."""
+    tagged = len(entry.structures) > 1
+    return [(f":{spec.name}" if tagged else "",
+             contact.ContactMetricStructure(entry.chart, spec.xi, spec.name))
             for spec in entry.structures]
 
 
 def _contact_axioms(entry, config):
     _, pts, radii, _ = _draw(entry, config)
     cpts = _cone_points(pts, radii)
-    reports = []
-    for spec, st in _structures(entry):
-        tag = f":{spec.name}" if len(entry.structures) > 1 else ""
+    sympl_keys = ("symplectic-closed", "symplectic-norm", "complex-square",
+                  "complex-isometry")
 
-        _guarded(reports, f"contact-unit-length{tag}", "ContactMetricStructure",
-                 config.tolerance(f"contact-unit-length{tag}", 1e-9),
-                 lambda st=st: (contact.unit_length_residuals(st, pts), pts))
-        _guarded(reports, f"contact-metric-axiom{tag}", "Eq. (kc)",
-                 config.tolerance(f"contact-metric-axiom{tag}", 1e-8),
-                 lambda st=st: (contact.kc_residuals(st, pts), pts))
+    def reeb(st):
+        res = contact.reeb_residuals(st, pts)
+        return [np.maximum(res["reeb-pairing"],
+                           np.maximum(res["reeb-kernel"],
+                                      res["reeb-interior"]))], pts
 
-        def reeb(st=st):
-            res = contact.reeb_residuals(st, pts)
-            return np.maximum(res["reeb-pairing"],
-                              np.maximum(res["reeb-kernel"],
-                                         res["reeb-interior"])), pts
-
-        _guarded(reports, f"contact-reeb-conditions{tag}", "Eq. (kc)",
-                 config.tolerance(f"contact-reeb-conditions{tag}", 1e-8), reeb)
-
+    rows = []
+    for tag, st in _structures(entry):
         sympl = contact.ConeSymplecticData(cone_mod.build_cone(entry.chart), st)
-
-        def sympl_checks(sympl=sympl):
-            res = contact.symplectic_residuals(sympl, cpts)
-            return res
-
-        try:
-            res = sympl_checks()
-            for key, anchor in (("symplectic-closed", "Eq. (om)"),
-                                ("symplectic-norm", "Eq. (om)"),
-                                ("complex-square", "Eq. (om)"),
-                                ("complex-isometry", "Eq. (om)")):
-                identity = f"cone-{key}{tag}"
-                reports.append(make_report(identity, anchor, res[key],
-                                           config.tolerance(identity, 1e-8),
-                                           cpts))
-        except EngineError:
-            reports.append(error_report(f"cone-symplectic{tag}", "Eq. (om)", 1e-8))
-    return reports
+        rows += [
+            Row([(f"contact-unit-length{tag}", "ContactMetricStructure", 1e-9)],
+                lambda st=st: ([contact.unit_length_residuals(st, pts)], pts)),
+            Row([(f"contact-metric-axiom{tag}", "Eq. (kc)", 1e-8)],
+                lambda st=st: ([contact.kc_residuals(st, pts)], pts)),
+            Row([(f"contact-reeb-conditions{tag}", "Eq. (kc)", 1e-8)],
+                lambda st=st: reeb(st)),
+            Row([(f"cone-{key}{tag}", "Eq. (om)", 1e-8) for key in sympl_keys],
+                lambda sympl=sympl: _picked(
+                    contact.symplectic_residuals(sympl, cpts), sympl_keys, cpts)),
+        ]
+    return rows
 
 
 def _kcontact(entry, config):
     _, pts, _, _ = _draw(entry, config)
-    reports = []
-    for spec, st in _structures(entry):
-        tag = f":{spec.name}" if len(entry.structures) > 1 else ""
-        _guarded(reports, f"killing-field{tag}", "K-contact (xi Killing)",
-                 config.tolerance(f"killing-field{tag}", 1e-7),
-                 lambda st=st: (contact.killing_residuals(st, pts), pts))
-        _guarded(reports, f"ricci-reeb-criterion{tag}", "Ric(xi,xi) = 2n",
-                 config.tolerance(f"ricci-reeb-criterion{tag}", 1e-7),
-                 lambda st=st: (np.abs(contact.ricci_reeb_deficit(st, pts)), pts))
-    return reports
+    rows = []
+    for tag, st in _structures(entry):
+        rows += [
+            Row([(f"killing-field{tag}", "K-contact (xi Killing)", 1e-7)],
+                lambda st=st: ([contact.killing_residuals(st, pts)], pts)),
+            Row([(f"ricci-reeb-criterion{tag}", "Ric(xi,xi) = 2n", 1e-7)],
+                lambda st=st: ([np.abs(contact.ricci_reeb_deficit(st, pts))],
+                               pts)),
+        ]
+    return rows
 
 
 def _sasaki(entry, config):
     _, pts, radii, _ = _draw(entry, config)
     cpts = _cone_points(pts, radii)
-    reports = []
-    for spec, st in _structures(entry):
-        tag = f":{spec.name}" if len(entry.structures) > 1 else ""
-        sas = par = None
-
-        def sasaki_res(st=st):
-            nonlocal sas
-            sas = contact.sasaki_residuals(st, pts)
-            return sas, pts
-
-        _guarded(reports, f"sasaki-defect{tag}", "Eq. (xd)",
-                 config.tolerance(f"sasaki-defect{tag}", 1e-7), sasaki_res)
-
+    rows = []
+    for tag, st in _structures(entry):
         sympl = contact.ConeSymplecticData(cone_mod.build_cone(entry.chart), st)
+        sas = cache(lambda st=st: contact.sasaki_residuals(st, pts))
+        par = cache(lambda sympl=sympl: contact.parallel_omega_residuals(sympl, cpts))
 
-        def parallel_res(sympl=sympl):
-            nonlocal par
-            par = contact.parallel_omega_residuals(sympl, cpts)
-            return par, cpts
+        def agreement(sas=sas, par=par):
+            agree = (np.max(sas()) < 1e-6) == (np.max(par()) < 1e-6)
+            return [np.array([0.0 if agree else 1.0])], None
 
-        _guarded(reports, f"parallel-omega{tag}", "parallel Omega iff Sasakian",
-                 config.tolerance(f"parallel-omega{tag}", 1e-7), parallel_res)
+        rows += [
+            Row([(f"sasaki-defect{tag}", "Eq. (xd)", 1e-7)],
+                lambda sas=sas: ([sas()], pts)),
+            Row([(f"parallel-omega{tag}", "parallel Omega iff Sasakian", 1e-7)],
+                lambda par=par: ([par()], cpts)),
+            Row([(f"sasaki-parallel-equivalence{tag}",
+                  "parallel Omega iff Sasakian", 0.5)], agreement),
+        ]
+    return rows
 
-        if sas is not None and par is not None:
-            equiv_tol = config.tolerance(f"sasaki-parallel-equivalence{tag}", 0.5)
-            agree = (np.max(sas) < 1e-6) == (np.max(par) < 1e-6)
-            reports.append(make_report(
-                f"sasaki-parallel-equivalence{tag}",
-                "parallel Omega iff Sasakian",
-                np.array([0.0 if agree else 1.0]), equiv_tol))
-    return reports
+
+_SCALING_TERMS = ("lap_s_diff", "div_term", "ric_div_term", "ric_anti_sq",
+                  "rough_sq", "phi_sq", "rho_phi", "rho_rough", "solved_rpp_sq")
 
 
 def _weitzenboeck(entry, config):
@@ -355,102 +352,52 @@ def _weitzenboeck(entry, config):
     st = contact.ContactMetricStructure(entry.chart, spec.xi, spec.name)
     sympl = contact.ConeSymplecticData(cone_mod.build_cone(entry.chart), st)
     rng, pts, radii, dirs = _draw(entry, config)
-    cpts = _cone_points(pts, radii)
-    order = config.jet_order or weitzenboeck.DEFAULT_ORDER
-    reports = []
-
-    try:
-        data = weitzenboeck.weitzenboeck_data(sympl, pts, radii, order)
-    except EngineError:
-        return [error_report("weitzenboeck-data", "Eq. (la)", 1e-5)]
-
-    def tol(identity, default):
-        return config.tolerance(identity, default)
-
-    reports.append(make_report(
-        "omega-radial-parallel", "nab_r Omega = 0",
-        weitzenboeck.radial_parallel_residuals(data),
-        tol("omega-radial-parallel", 1e-8), cpts))
-
-    reports.append(make_report(
-        "star-scalar-consistency", "s* - s = |nab Omega|^2",
-        weitzenboeck.star_scalar_consistency(data),
-        tol("star-scalar-consistency", 1e-6), cpts))
-
     dirs4 = np.array([rng.unit_vector(entry.chart.dim + 1)
                       for _ in range(len(pts))])
-    reports.append(make_report(
-        "phi-norm-identity", "|nab_X Omega|^2 = -phi(X, JX)",
-        weitzenboeck.phi_identity_residuals(data, dirs4),
-        tol("phi-norm-identity", 1e-7), cpts))
+    cpts = _cone_points(pts, radii)
+    order = config.jet_order or weitzenboeck.DEFAULT_ORDER
+    # radial structure: two more passes at fixed radii over the same points
+    r1, r2 = (float(r) for r in (tuple(config.radii) + (1.0, 2.0))[:2])
 
-    reports.append(make_report(
-        "phi-invariance", "Eq. (la) (phi term)",
-        weitzenboeck.phi_invariance_residuals(data),
-        tol("phi-invariance", 1e-7), cpts))
+    def pointwise():
+        data = weitzenboeck.weitzenboeck_data(sympl, pts, radii, order)
+        return [
+            weitzenboeck.radial_parallel_residuals(data),
+            weitzenboeck.star_scalar_consistency(data),
+            weitzenboeck.phi_identity_residuals(data, dirs4),
+            weitzenboeck.phi_invariance_residuals(data),
+            weitzenboeck.ricci_split_residuals(data),
+            np.maximum(0.0, -data.solved_rpp_sq),
+        ], cpts
 
-    reports.append(make_report(
-        "ricci-split-invariance", "Eq. (la) (Ric'' term)",
-        weitzenboeck.ricci_split_residuals(data),
-        tol("ricci-split-invariance", 1e-8), cpts))
-
-    reports.append(make_report(
-        "weitzenboeck-nonnegativity", "Eq. (la)",
-        np.maximum(0.0, -data.solved_rpp_sq),
-        tol("weitzenboeck-nonnegativity", 1e-5), cpts))
-
-    # radial structure: two more sweeps at fixed radii over the same points
-    rad = tuple(config.radii) + (1.0, 2.0)
-    r1, r2 = float(rad[0]), float(rad[1])
-    try:
+    def radial():
         d1 = weitzenboeck.weitzenboeck_data(sympl, pts, np.full(len(pts), r1), order)
         d2 = weitzenboeck.weitzenboeck_data(sympl, pts, np.full(len(pts), r2), order)
-    except EngineError:
-        reports.append(error_report("weitzenboeck-radial-scaling", "Eq. (la2)", 1e-4))
-        return reports
+        prof = weitzenboeck.radial_profiles(d1, d2, r1, r2)
+        b1, m1 = weitzenboeck.omega_derivative_blocks(d1)
+        b2, m2 = weitzenboeck.omega_derivative_blocks(d2)
+        blocks = np.maximum(np.max(np.abs(b1 - b2), axis=(1, 2, 3)),
+                            np.max(np.abs(m1 - m2), axis=(1, 2)))
+        scaling = np.maximum.reduce([
+            weitzenboeck.scaling_ratio(getattr(d1, name), getattr(d2, name),
+                                       r1, r2, power=4)
+            for name in _SCALING_TERMS])
+        return [prof["f-drift"], prof["f-positivity"], prof["alpha-drift"],
+                blocks, scaling], pts
 
-    f1 = d1.s_star * r1**2
-    f2 = d2.s_star * r2**2
-    prof = np.abs(f1 - f2) / np.maximum(np.maximum(np.abs(f1), np.abs(f2)), 1.0)
-    reports.append(make_report(
-        "star-scalar-radial-profile", "Eq. (op)", prof,
-        tol("star-scalar-radial-profile", 1e-6), pts))
-
-    active = d1.nab_omega_sq > 1e-8
-    fpos = np.where(active, np.maximum(0.0, -f1), 0.0)
-    reports.append(make_report(
-        "radial-profile-positive", "Eq. (op)", fpos,
-        tol("radial-profile-positive", 1e-9), pts))
-
-    a1 = d1.pairing_form * r1**2
-    a2 = d2.pairing_form * r2**2
-    alpha_resid = np.maximum(np.max(np.abs(a1 - a2), axis=1),
-                             np.abs(a1[:, -1]))
-    reports.append(make_report(
-        "pairing-form-profile", "Eq. (op2)", alpha_resid,
-        tol("pairing-form-profile", 1e-6), pts))
-
-    b1, m1 = weitzenboeck.omega_derivative_blocks(d1)
-    b2, m2 = weitzenboeck.omega_derivative_blocks(d2)
-    blocks = np.maximum(np.max(np.abs(b1 - b2), axis=(1, 2, 3)),
-                        np.max(np.abs(m1 - m2), axis=(1, 2)))
-    reports.append(make_report(
-        "omega-derivative-blocks", "nab_X Omega = r^2 w + r dr ^ tau", blocks,
-        tol("omega-derivative-blocks", 1e-8), pts))
-
-    term_names = ("lap_s_diff", "div_term", "ric_div_term", "ric_anti_sq",
-                  "rough_sq", "phi_sq", "rho_phi", "rho_rough",
-                  "solved_rpp_sq")
-    worst = None
-    for name in term_names:
-        v1 = getattr(d1, name)
-        v2 = getattr(d2, name)
-        ratio = weitzenboeck.scaling_ratio(v1, v2, r1, r2, power=4)
-        worst = ratio if worst is None else np.maximum(worst, ratio)
-    reports.append(make_report(
-        "weitzenboeck-radial-scaling", "Eq. (la2)", worst,
-        tol("weitzenboeck-radial-scaling", 1e-4), pts))
-    return reports
+    return [
+        Row([("omega-radial-parallel", "nab_r Omega = 0", 1e-8),
+             ("star-scalar-consistency", "s* - s = |nab Omega|^2", 1e-6),
+             ("phi-norm-identity", "|nab_X Omega|^2 = -phi(X, JX)", 1e-7),
+             ("phi-invariance", "Eq. (la) (phi term)", 1e-7),
+             ("ricci-split-invariance", "Eq. (la) (Ric'' term)", 1e-8),
+             ("weitzenboeck-nonnegativity", "Eq. (la)", 1e-5)], pointwise),
+        Row([("star-scalar-radial-profile", "Eq. (op)", 1e-6),
+             ("radial-profile-positive", "Eq. (op)", 1e-9),
+             ("pairing-form-profile", "Eq. (op2)", 1e-6),
+             ("omega-derivative-blocks", "nab_X Omega = r^2 w + r dr ^ tau", 1e-8),
+             ("weitzenboeck-radial-scaling", "Eq. (la2)", 1e-4)], radial),
+    ]
 
 
 def _hypersasaki(entry, config):
@@ -468,53 +415,42 @@ def _hypersasaki(entry, config):
         return contact.ConeSymplecticData(cn, st)
 
     pair = pairs.StructurePair(sympl_for(sasakian[0]), sympl_for(sasakian[1]))
-    reports = []
-    try:
-        lam, qres, variation = pairs.anticommutator_lambda(pair, cpts)
-    except EngineError:
-        return [error_report("pair-anticommutator", "Q = JJ' + J'J", 1e-8)]
+    # (lambda, |Q - lambda Id|, lambda variation); every later row needs lambda
+    anticommutator = cache(lambda: pairs.anticommutator_lambda(pair, cpts))
 
-    reports.append(make_report(
-        "pair-anticommutator", "Q = lambda Id",
-        np.maximum(qres, variation),
-        config.tolerance("pair-anticommutator", 1e-8), cpts))
-    reports.append(make_report(
-        "pair-cauchy-schwarz", "|lambda| <= 2",
-        np.array([max(0.0, abs(lam) - 2.0)]),
-        config.tolerance("pair-cauchy-schwarz", 1e-9)))
+    def lam():
+        return anticommutator()[0]
 
-    _guarded(reports, "pair-commutator-square", "A^2 = (lambda^2 - 4) Id",
-             config.tolerance("pair-commutator-square", 1e-8),
-             lambda: (pairs.commutator_square_residuals(pair, cpts, lam), cpts))
+    def anticommutator_row():
+        _, qres, variation = anticommutator()
+        return [np.maximum(qres, variation)], cpts
 
-    def third():
-        res = pairs.third_structure_residuals(pair, cpts, lam)
-        return np.maximum.reduce(list(res.values())), cpts
+    def worst_of(kernel):
+        return lambda: ([np.maximum.reduce(list(kernel(pair, cpts, lam()).values()))],
+                        cpts)
 
-    _guarded(reports, "third-structure", "I = A / sqrt(4 - lambda^2)",
-             config.tolerance("third-structure", 1e-8), third)
+    def family():
+        third_sympl = sympl_for(sasakian[2])
+        _, resid, unit = pairs.s2_family_coefficients(pair, third_sympl, cpts, lam())
+        return [np.maximum(resid, unit)], cpts
 
-    _guarded(reports, "third-structure-parallel", "nab I = 0",
-             config.tolerance("third-structure-parallel", 1e-7),
-             lambda: (pairs.parallel_third_structure_residuals(pair, cpts, lam),
-                      cpts))
-
-    def quaternion():
-        res = pairs.quaternion_relation_residuals(pair, cpts, lam)
-        return np.maximum.reduce(list(res.values())), cpts
-
-    _guarded(reports, "quaternion-relations", "(g, I, J, K = IJ) hyperkaehler",
-             config.tolerance("quaternion-relations", 1e-8), quaternion)
-
+    rows = [
+        Row([("pair-anticommutator", "Q = lambda Id", 1e-8)], anticommutator_row),
+        Row([("pair-cauchy-schwarz", "|lambda| <= 2", 1e-9)],
+            lambda: ([np.array([max(0.0, abs(lam()) - 2.0)])], None)),
+        Row([("pair-commutator-square", "A^2 = (lambda^2 - 4) Id", 1e-8)],
+            lambda: ([pairs.commutator_square_residuals(pair, cpts, lam())], cpts)),
+        Row([("third-structure", "I = A / sqrt(4 - lambda^2)", 1e-8)],
+            worst_of(pairs.third_structure_residuals)),
+        Row([("third-structure-parallel", "nab I = 0", 1e-7)],
+            lambda: ([pairs.parallel_third_structure_residuals(pair, cpts, lam())],
+                     cpts)),
+        Row([("quaternion-relations", "(g, I, J, K = IJ) hyperkaehler", 1e-8)],
+            worst_of(pairs.quaternion_relation_residuals)),
+    ]
     if len(sasakian) >= 3:
-        def family():
-            third_sympl = sympl_for(sasakian[2])
-            _, resid, unit = pairs.s2_family_coefficients(
-                pair, third_sympl, cpts, lam)
-            return np.maximum(resid, unit), cpts
-
-        _guarded(reports, "s2-family-unit", "S^2-family of Sasakian structures",
-                 config.tolerance("s2-family-unit", 1e-8), family)
+        rows.append(Row([("s2-family-unit", "S^2-family of Sasakian structures",
+                          1e-8)], family))
 
     # a random unit quaternion combination must itself be Sasakian and land
     # back on the unit sphere of the triple
@@ -528,12 +464,12 @@ def _hypersasaki(entry, config):
             sas = contact.sasaki_residuals(st, pts)
             combo_sympl = contact.ConeSymplecticData(cn, st)
             _, resid, unit = pairs.s2_family_coefficients(
-                pair, combo_sympl, cpts, lam)
-            return np.maximum(sas, np.maximum(resid, unit)), pts
+                pair, combo_sympl, cpts, lam())
+            return [np.maximum(sas, np.maximum(resid, unit))], pts
 
-        _guarded(reports, "s2-family-sasaki", "S^2-family of Sasakian structures",
-                 config.tolerance("s2-family-sasaki", 1e-6), random_member)
-    return reports
+        rows.append(Row([("s2-family-sasaki", "S^2-family of Sasakian structures",
+                          1e-6)], random_member))
+    return rows
 
 
 # -- integration ---------------------------------------------------------------
@@ -545,39 +481,37 @@ INTEGRANDS = ("one", "divergence-pairing", "divergence-ricci", "f-term",
 _DIVERGENCE = ("divergence-pairing", "divergence-ricci")
 _NONNEGATIVE = ("f-term", "solved-curvature", "rough-laplacian", "phi-norm")
 
-# one pipeline pass serves every integrand of its family on the same grid
+# One pipeline pass serves every integrand of its family at the same points.
+# Keyed by the points' bytes, so only identical samples share a pass.
 _WDATA_CACHE = {}
 
 
-def _cached_wdata(entry, points, r, order, mode, cache_key):
-    key = (entry.key, cache_key, float(r), order, mode)
+def _cached_wdata(entry, points, r, order, mode):
+    pts = np.asarray(points, float)
+    key = (entry.key, pts.shape, pts.tobytes(), float(r), order, mode)
     if key not in _WDATA_CACHE:
         if len(_WDATA_CACHE) > 8:
             _WDATA_CACHE.clear()
         spec = entry.structures[0]
         st = contact.ContactMetricStructure(entry.chart, spec.xi, spec.name)
         sympl = contact.ConeSymplecticData(cone_mod.build_cone(entry.chart), st)
-        radii = np.full(len(points), float(r))
+        radii = np.full(len(pts), float(r))
         _WDATA_CACHE[key] = weitzenboeck.weitzenboeck_data(
-            sympl, points, radii, order, mode=mode)
+            sympl, pts, radii, order, mode=mode)
     return _WDATA_CACHE[key]
 
 
-def integrand_values(entry, name, points, r, order=None, cache_key=None):
+def integrand_values(entry, name, points, r, order=None):
     """Evaluate a named level-set integrand at batched base points."""
     if name == "one":
         return np.ones(len(points))
-    if cache_key is None:
-        cache_key = len(points)
     if name in _DIVERGENCE:
-        data = _cached_wdata(entry, points, r, order or 4, "divergence",
-                             cache_key)
+        data = _cached_wdata(entry, points, r, order or 4, "divergence")
         vals = data.div_term if name == "divergence-pairing" else data.ric_div_term
         return vals * r**4
     if name in _NONNEGATIVE:
         data = _cached_wdata(entry, points, r,
-                             order or weitzenboeck.DEFAULT_ORDER, "full",
-                             cache_key)
+                             order or weitzenboeck.DEFAULT_ORDER, "full")
         if name == "f-term":
             n = entry.n
             return 2.0 * (2 * n - 2) * (data.s_star * r**2) / r**4
@@ -591,78 +525,49 @@ def integrand_values(entry, name, points, r, order=None, cache_key=None):
 
 
 def integrate_level_set(manifold: str, r: float, integrand: str, grid=None):
-    """Named-integrand quadrature over the level set M_r."""
-    try:
-        entry = catalog.get(manifold)
-    except KeyError as exc:
-        raise SuiteUsageError(str(exc)) from None
+    """Named-integrand quadrature over the level set M_r.
+
+    Without a grid, "one" uses the catalog quadrature spec and the curvature
+    integrands the entry's tuned curvature_quadrature.
+    """
+    entry = _entry(manifold)
     if integrand not in INTEGRANDS:
         raise SuiteUsageError(
             f"unknown integrand {integrand!r}; known: {', '.join(INTEGRANDS)}")
+    _check_radius(r)
+    if grid is not None:
+        counts = _grid_counts(entry, grid)
+    elif integrand == "one":
+        counts = entry.quadrature
+    else:
+        counts = entry.curvature_quadrature
     cn = cone_mod.build_cone(entry.chart)
-    counts = grid if grid is not None else _integration_grid(entry, integrand)
-    if isinstance(counts, int):
-        counts = (counts,) * entry.chart.dim
     return quadrature.integrate_level_set(
-        cn, r,
-        lambda pts, rr: integrand_values(entry, integrand, pts, rr,
-                                         cache_key=tuple(counts)),
+        cn, r, lambda pts, rr: integrand_values(entry, integrand, pts, rr),
         counts)
 
 
-def _integration_grid(entry, integrand):
-    """Default node counts; curvature-heavy integrands use tuned grids.
-
-    On the torus every structure scalar depends on the t coordinate alone
-    (trapezoidal exactness needs only a handful of nodes transversally), and
-    on the round-sphere cone the nonnegative integrands vanish pointwise, so
-    positive-weight quadrature bounds the integral by the sup.  Tuned counts
-    are recorded with the catalog entry.
-    """
-    if integrand == "one":
-        return entry.quadrature
-    heavy = {
-        "t3-blair": (32, 8, 8),
-        "t3-unnormalized": (32, 8, 8),
-        "s3-round": (8, 6, 6),
-        "s5-round": (6, 6, 4, 4, 4),  # dim-6 cone: keep the node count sane
-    }
-    if entry.key in heavy:
-        return heavy[entry.key]
-    return entry.quadrature
-
-
 def _integration(entry, config):
-    reports = []
     grid = config.grid
-    counts = grid if grid is not None else entry.quadrature
-    vol = quadrature.chart_volume(entry.chart, counts)
-    expected = entry.known_values.get("volume")
-    if expected:
-        rel = abs(vol - expected) / abs(expected)
-        reports.append(make_report(
-            "volume", "catalog closed form", np.array([rel]),
-            config.tolerance("volume", 1e-9)))
-
     r = float(config.radii[0]) if config.radii else 1.0
+
+    def volume():
+        counts = grid if grid is not None else entry.quadrature
+        vol = quadrature.chart_volume(entry.chart, counts)
+        expected = entry.known_values["volume"]
+        return [np.array([abs(vol - expected) / abs(expected)])], None
+
+    def integral(name):
+        return lambda: ([np.array([abs(integrate_level_set(entry.key, r, name,
+                                                             grid))])], None)
+
+    rows = []
+    if entry.known_values.get("volume"):
+        rows.append(Row([("volume", "catalog closed form", 1e-9)], volume))
     if entry.key in ("t3-blair", "t3-unnormalized"):
-        for name, identity in (("divergence-pairing", "integral-divergence-pairing"),
-                               ("divergence-ricci", "integral-divergence-ricci")):
-            def run(name=name):
-                val = integrate_level_set(entry.key, r, name, grid)
-                return np.array([abs(val)]), None
-
-            _guarded(reports, identity, "level-set integral of Eq. (la)",
-                     config.tolerance(identity, 1e-6), run)
+        rows += [Row([(f"integral-{name}", "level-set integral of Eq. (la)", 1e-6)],
+                     integral(name)) for name in _DIVERGENCE]
     if entry.key == "s3-round":
-        for name, identity in (("f-term", "integral-f-term"),
-                               ("solved-curvature", "integral-solved-curvature"),
-                               ("rough-laplacian", "integral-rough-laplacian"),
-                               ("phi-norm", "integral-phi-norm")):
-            def run(name=name):
-                val = integrate_level_set(entry.key, r, name, grid)
-                return np.array([abs(val)]), None
-
-            _guarded(reports, identity, "level-set integral of Eq. (la)",
-                     config.tolerance(identity, 1e-8), run)
-    return reports
+        rows += [Row([(f"integral-{name}", "level-set integral of Eq. (la)", 1e-8)],
+                     integral(name)) for name in _NONNEGATIVE]
+    return rows

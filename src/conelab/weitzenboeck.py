@@ -308,12 +308,6 @@ def phi_identity_residuals(data: WeitzenboeckPointData, directions):
     return np.abs(nsq + phi_xjx)
 
 
-def phi_symmetry_residuals(data: WeitzenboeckPointData):
-    defect = data.phi - np.swapaxes(data.phi, 1, 2)
-    return np.sqrt(np.abs(norm_squared(
-        data.g_values, data.ginv_values, defect, "ll")))
-
-
 def phi_invariance_residuals(data: WeitzenboeckPointData):
     """phi(JX, JY) - phi(X, Y), frame norm per sample."""
     pulled = np.einsum("zai,zab,zbj->zij", data.j, data.phi, data.j)
@@ -356,41 +350,26 @@ def scaling_ratio(v1, v2, r1, r2, power=4):
 # -- radial profiles -------------------------------------------------------------
 
 
-@dataclass
-class RadialProfile:
-    """Base-point profiles extracted from the r-homogeneous cone scalars.
+def radial_profiles(d1: WeitzenboeckPointData, d2: WeitzenboeckPointData,
+                    r1: float, r2: float):
+    """Base profiles f = r^2 s* and alpha = r^2 <rho*, nab_. Omega>.
 
-    f is the base function with s* = f / r^2; alpha the base 1-form with
-    <rho*, nab_. Omega> = alpha / r^2.  Residuals quantify r-independence
-    (relative, between the two extraction radii) and strict positivity of f
-    wherever the structure is genuinely non-Kaehler.
+    d1 and d2 hold the same base points at the fixed radii r1 and r2.  Returns
+    f and alpha (dr component included) at r1 with three per-sample
+    residuals: "f-drift", the relative r-dependence of f; "alpha-drift", the
+    r-dependence of alpha or its dr component, whichever is larger (both must
+    vanish); and "f-positivity", max(0, -f) wherever nab Omega != 0, since f
+    is strictly positive on a genuinely non-Kaehler structure.
     """
-
-    base_points: np.ndarray
-    f: np.ndarray                 # (B,)
-    alpha: np.ndarray             # (B, dim+1), dr component included (== 0)
-    r_independence: np.ndarray    # (B,) max relative drift of f and alpha
-    positivity: np.ndarray        # (B,) max(0, -f) where |nab Omega| > 0
-
-
-def extract_radial_profile(sympl: ConeSymplecticData, base_points,
-                           r1: float = 1.0, r2: float = 2.0,
-                           order: int = DEFAULT_ORDER) -> RadialProfile:
-    pts = np.atleast_2d(np.asarray(base_points, float))
-    d1 = weitzenboeck_data(sympl, pts, np.full(len(pts), r1), order)
-    d2 = weitzenboeck_data(sympl, pts, np.full(len(pts), r2), order)
     f1 = d1.s_star * r1**2
     f2 = d2.s_star * r2**2
     a1 = d1.pairing_form * r1**2
     a2 = d2.pairing_form * r2**2
-    drift_f = np.abs(f1 - f2) / np.maximum(np.maximum(np.abs(f1), np.abs(f2)), 1.0)
-    drift_a = np.max(np.abs(a1 - a2), axis=1)
     active = d1.nab_omega_sq > 1e-8
-    positivity = np.where(active, np.maximum(0.0, -f1), 0.0)
-    return RadialProfile(pts, f1, a1, np.maximum(drift_f, drift_a), positivity)
-
-
-def weitzenboeck_solve(sympl: ConeSymplecticData, base_points, radii,
-                       order: int = DEFAULT_ORDER):
-    """The solved 8|R''|^2 values alone, for callers that want just those."""
-    return weitzenboeck_data(sympl, base_points, radii, order).solved_rpp_sq
+    return {
+        "f": f1,
+        "alpha": a1,
+        "f-drift": np.abs(f1 - f2) / np.maximum(np.maximum(np.abs(f1), np.abs(f2)), 1.0),
+        "alpha-drift": np.maximum(np.max(np.abs(a1 - a2), axis=1), np.abs(a1[:, -1])),
+        "f-positivity": np.where(active, np.maximum(0.0, -f1), 0.0),
+    }

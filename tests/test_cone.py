@@ -240,16 +240,28 @@ def test_lifted_contact_form_radial_derivative(s3, scone):
 
 
 def test_check_report_operations(tcone):
-    """The report-producing wrappers assemble one record per identity."""
-    from conelab.rng import SplitMix64
-    from conelab.jets import sin
+    """Reports over the transfer kernels pass at their default tolerances."""
+    from conelab.report import make_report
 
-    samples = C.ConeSampleSet.draw(tcone, 25, SplitMix64(12))
-    reports = C.check_connection_relations(tcone, samples)
-    reports += C.check_curvature_relation(tcone, samples)
-    assert {r.identity for r in reports} >= {
-        "cone-radial-geodesic", "cone-horizontal-connection",
-        "cone-curvature-radial", "cone-curvature-horizontal"}
+    pts, radii, dirs = sample(tcone.base, 25, seed=12)
+    cpts = np.column_stack([pts, radii])
+
+    def generic_oneform(x):
+        out = np.empty(3, object)
+        out[0] = sin(x[0])
+        out[1] = cos(x[1]) + sin(x[0])
+        out[2] = x[0] * 0.0 + 0.5
+        return out
+
+    res = C.connection_relation_residuals(tcone, pts, radii, dirs[0], dirs[1])
+    res.update(C.form_relation_residuals(tcone, pts, radii, dirs[0],
+                                         generic_oneform, 1))
+    res.update(C.dr_relation_residuals(tcone, pts, radii, dirs[0]))
+    res.update(C.curvature_relation_residuals(tcone, pts, radii, *dirs))
+    assert set(res) >= {"radial-geodesic", "horizontal-connection",
+                        "curvature-radial", "curvature-horizontal"}
+    reports = [make_report(key, "Eqs. (1)-(4)", vals, 1e-7, cpts)
+               for key, vals in res.items()]
     assert all(r.verdict == "pass" for r in reports)
 
     def sigma(x):
@@ -259,9 +271,10 @@ def test_check_report_operations(tcone):
         out[2] = x[0] * 0.0
         return out
 
-    rep = C.check_lemma_codiff(tcone, sigma, 3, samples)
-    assert rep.identity == "cone-codifferential-k+3"
+    r, _, _ = C.lemma_codifferential_residuals(tcone, pts, radii, sigma, 3)
+    rep = make_report("codifferential-k+3", "Lemma 2.2(i)", r, 1e-6, cpts)
     assert rep.verdict == "pass"
-    rep = C.check_lemma_laplacian(tcone, lambda x: sin(x[0]), -2, samples)
-    assert rep.identity == "cone-laplacian-k-2"
+    r, _, _ = C.lemma_laplacian_residuals(tcone, pts, radii,
+                                          lambda x: sin(x[0]), -2)
+    rep = make_report("laplacian-k-2", "Lemma 2.2(ii)", r, 1e-6, cpts)
     assert rep.verdict == "pass"

@@ -184,18 +184,26 @@ def test_phi_solves_defining_linear_system(s3):
 
 
 def test_report_operations(blair, s3):
+    """Reports over the classification kernels carry the expected verdicts."""
+    from conelab.report import make_report
+
     st_b = CT.ContactMetricStructure(blair.chart, blair.structure().xi, "blair")
     pts, radii, _ = sample(blair.chart, 20, seed=165)
-    rep = CT.killing_residual(st_b, pts)
+    rep = make_report("killing-field", "K-contact (xi Killing)",
+                      CT.killing_residuals(st_b, pts), 1e-7, pts)
     assert rep.verdict == "fail" and rep.max_residual >= 0.4
-    rep = CT.kcontact_via_ricci(st_b, pts)
+    rep = make_report("ricci-reeb-criterion", "Ric(xi,xi) = 2n",
+                      np.abs(CT.ricci_reeb_deficit(st_b, pts)), 1e-7, pts)
     assert rep.verdict == "fail"
     assert rep.max_residual == pytest.approx(2.0, abs=1e-10)
-    rep = CT.sasaki_residual(st_b, pts)
+    rep = make_report("sasaki-defect", "Eq. (xd)",
+                      CT.sasaki_residuals(st_b, pts), 1e-7, pts)
     assert rep.verdict == "fail" and rep.witness is not None
 
     st_s = CT.ContactMetricStructure(s3.chart, s3.structure("i").xi, "i")
     sympl = CT.ConeSymplecticData(C.build_cone(s3.chart), st_s)
     pts_s, radii_s, _ = sample(s3.chart, 20, seed=175)
-    rep = CT.parallel_omega_residual(sympl, np.column_stack([pts_s, radii_s]))
+    cpts_s = np.column_stack([pts_s, radii_s])
+    rep = make_report("parallel-omega", "parallel Omega iff Sasakian",
+                      CT.parallel_omega_residuals(sympl, cpts_s), 1e-7, cpts_s)
     assert rep.verdict == "pass"

@@ -7,9 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from conelab import catalog
+from conelab import catalog, cone, suites, weitzenboeck
 from conelab.cli import main as cli_main
-from conelab.report import SuiteConfig, all_pass, report_json
+from conelab.report import SuiteConfig, all_pass, make_report, report_json
 from conelab.suites import (
     SUITES,
     SuiteUsageError,
@@ -150,6 +150,21 @@ def test_cli_list_and_exit_codes(tmp_path, capsys):
     assert cli_main(["verify", "hypersasaki", "--manifold", "t3-blair"]) == 2
     assert cli_main(["integrate", "bogus", "--manifold", "t3-blair",
                      "--radius", "1.0"]) == 2
+    # bad sample counts, jet orders, grids, radii and config files too
+    for suite, flags in (("kcontact", ["--samples", "0"]),
+                         ("kcontact", ["--samples", "-3"]),
+                         ("cone-identities", ["--jet-order", "-1"]),
+                         ("integration", ["--grid", "0"]),
+                         ("weitzenboeck", ["--radius", "0"]),
+                         ("weitzenboeck", ["--radius", "50"])):
+        assert cli_main(["verify", suite, "--manifold", "t3-blair", *flags]) == 2
+    assert cli_main(["integrate", "one", "--manifold", "t3-blair",
+                     "--radius", "1.0", "--grid", "0"]) == 2
+    bad_config = tmp_path / "bad.json"
+    bad_config.write_text(json.dumps({"samples": "many"}))
+    for config in (bad_config, tmp_path / "missing.json"):
+        assert cli_main(["verify", "kcontact", "--manifold", "t3-blair",
+                         "--config", str(config)]) == 2
 
 
 def test_cli_integrate(capsys):
@@ -181,3 +196,63 @@ def test_cli_entry_point_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "killing-field" in proc.stdout
+
+
+def test_integrand_cache_is_keyed_by_content(monkeypatch):
+    """Different points of the same count get their own pipeline pass; a
+    second integrand at the same points reuses the first one's."""
+    calls = []
+    real = weitzenboeck.weitzenboeck_data
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(weitzenboeck, "weitzenboeck_data", counting)
+    monkeypatch.setattr(suites, "_WDATA_CACHE", {})
+    entry = catalog.get("t3-blair")
+    first = np.array([[0.1, 0.2, 0.3], [1.0, 2.0, 3.0]])
+    second = first + 0.5
+    suites.integrand_values(entry, "divergence-pairing", first, 1.0)
+    suites.integrand_values(entry, "divergence-pairing", second, 1.0)
+    suites.integrand_values(entry, "divergence-ricci", second, 1.0)
+    assert len(calls) == 2
+    assert np.array_equal(calls[1], second)
+
+
+def test_non_finite_residual_is_an_error_with_valid_json():
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    config = _config("t3-blair", "kcontact")
+    for bad in (np.nan, np.inf):
+        rep = make_report("x", "anchor", [1.0, bad], 1e-3, [[0.0], [1.0]])
+        assert rep.verdict == "error"
+        assert rep.max_residual is None and rep.rms_residual is None
+        assert rep.witness == (1.0,)
+        payload = json.loads(report_json(config, [rep]), parse_constant=reject)
+        assert payload["reports"][0]["max_residual"] is None
+
+
+def test_kernel_exception_errors_only_its_row(monkeypatch, capsys):
+    config = _config("t3-blair", "cone-identities", samples=5)
+    normal = run_suite(config)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("connection kernel unavailable")
+
+    monkeypatch.setattr(cone, "connection_relation_residuals", broken)
+    reports = run_suite(config)
+    assert [r.identity for r in reports] == [r.identity for r in normal]
+    errored = [r.identity for r in reports if r.verdict == "error"]
+    assert errored == ["cone-radial-geodesic", "cone-radial-lift",
+                       "cone-radial-transport", "cone-mixed-symmetry",
+                       "cone-horizontal-connection"]
+    assert {r.message for r in reports if r.verdict == "error"} == {
+        "RuntimeError: connection kernel unavailable"}
+    assert all("message" not in r.to_dict() for r in reports)
+
+    capsys.readouterr()
+    assert cli_main(["verify", "cone-identities", "--manifold", "t3-blair",
+                     "--samples", "5"]) == 1
+    assert "RuntimeError" in capsys.readouterr().err

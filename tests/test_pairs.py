@@ -153,11 +153,18 @@ def test_theorem_dichotomy_disjunction(sphere_pair, cone_samples, s3):
     assert triple and flat  # this example exhibits both branches
 
 
-def test_build_third_structure_and_family_report(sphere_pair, cone_samples):
+def test_third_structure_algebra_and_family_report(sphere_pair, cone_samples):
+    """I passes its algebra to 1e-6, and the k-structure reads out as a unit
+    member of the family, as a passing report."""
+    from conelab.report import make_report
+
     pair, sympl_k, _ = sphere_pair
     cpts, _ = cone_samples
-    i_ = P.build_third_structure(pair, cpts, 0.0)
+    res = P.third_structure_residuals(pair, cpts, 0.0)
+    assert max(float(np.max(v)) for v in res.values()) <= 1e-6
+    _, _, _, i_ = P.third_structure_values(pair, cpts, 0.0)
     assert i_.shape == (len(cpts), 4, 4)
-    rep = P.s2_family_check(pair, sympl_k, cpts, 0.0)
+    _, resid, unit = P.s2_family_coefficients(pair, sympl_k, cpts, 0.0)
+    rep = make_report("s2-family-unit", "S^2-family of Sasakian structures",
+                      np.maximum(resid, unit), 1e-8, cpts)
     assert rep.verdict == "pass"
-    assert rep.identity == "s2-family-membership"

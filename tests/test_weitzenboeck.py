@@ -162,26 +162,33 @@ def test_scalar_invariants_frame_independent(blair_data):
     assert np.max(np.abs(framed - data.nab_omega_sq)) < 1e-11
 
 
+def _profiles(sympl, pts, r1=1.0, r2=2.0):
+    d1 = W.weitzenboeck_data(sympl, pts, np.full(len(pts), r1))
+    d2 = W.weitzenboeck_data(sympl, pts, np.full(len(pts), r2))
+    return W.radial_profiles(d1, d2, r1, r2)
+
+
 def test_radial_profile_operation(blair, s3):
     sympl_b = _sympl(blair)
     pts, _, _ = sample(blair.chart, 10, seed=39)
-    prof = W.extract_radial_profile(sympl_b, pts)
-    assert np.max(np.abs(prof.f - 2.0)) < 1e-11
-    assert np.max(prof.r_independence) < 1e-11
-    assert np.max(prof.positivity) == 0.0
-    assert np.max(np.abs(prof.alpha)) < 1e-12
+    prof = _profiles(sympl_b, pts)
+    assert np.max(np.abs(prof["f"] - 2.0)) < 1e-11
+    assert np.max(np.maximum(prof["f-drift"], prof["alpha-drift"])) < 1e-11
+    assert np.max(prof["f-positivity"]) == 0.0
+    assert np.max(np.abs(prof["alpha"])) < 1e-12
 
     sympl_s = _sympl(s3, "i")
     pts_s, _, _ = sample(s3.chart, 8, seed=49)
-    prof_s = W.extract_radial_profile(sympl_s, pts_s)
-    assert np.max(np.abs(prof_s.f)) < 1e-10          # Kaehler: f == 0
-    assert np.max(np.abs(prof_s.alpha)) < 1e-10
-    assert np.max(prof_s.positivity) == 0.0
+    prof_s = _profiles(sympl_s, pts_s)
+    assert np.max(np.abs(prof_s["f"])) < 1e-10          # Kaehler: f == 0
+    assert np.max(np.abs(prof_s["alpha"])) < 1e-10
+    assert np.max(prof_s["f-positivity"]) == 0.0
 
 
 def test_solve_wrapper(blair):
+    """The solved 8|R''|^2 is positive on the torus cone and scales as r^-4."""
     sympl = _sympl(blair)
     pts, radii, _ = sample(blair.chart, 6, seed=59)
-    vals = W.weitzenboeck_solve(sympl, pts, radii)
+    vals = W.weitzenboeck_data(sympl, pts, radii).solved_rpp_sq
     assert np.min(vals) > 0
     assert np.max(np.abs(vals * radii**4 - vals[0] * radii[0]**4)) < 1e-8
