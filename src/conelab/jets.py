@@ -4,11 +4,15 @@ A ``Jet`` stores the Taylor coefficients of a scalar quantity at a point:
 
     f(x0 + h) = sum_alpha  c[alpha] * h^alpha,   |alpha| <= order,
 
-with c[alpha] = (d^alpha f)(x0) / alpha!.  Coefficients live in a dense
-``(batch, ncoef)`` array; the multi-index list is graded by total degree, so
-truncating a jet to a lower order is a prefix slice.  Products go through a
-precomputed convolution table (a sparse scatter matrix), which keeps the whole
-engine vectorised over sample batches.  Analytic primitives (sin, exp, sqrt,
+with c[alpha] = (d^alpha f)(x0) / alpha!.  Coefficients are stored
+coefficient-major, one C-contiguous ``(ncoef, batch)`` array per jet
+(``Jet.coeffs`` is its ``(batch, ncoef)`` transpose view).  The multi-index
+list is graded by total degree, so truncating a jet to a lower order is a
+prefix of rows.  A product works in degree blocks: the left multi-indices of
+degree p pair with the right multi-indices of degree <= order - p, which are
+again a prefix, so each block is one broadcast multiply into a shared
+``(pairs, batch)`` buffer, and one sparse sum adds every pair into the
+coefficient of its summed multi-index.  Analytic primitives (sin, exp, sqrt,
 reciprocal, ...) are Horner evaluations of the outer function's univariate
 Taylor series in the zero-constant part of the argument; on polynomial data
 the arithmetic is exact up to roundoff.
@@ -65,23 +69,29 @@ class _JetTable:
 
     @property
     def mul(self):
+        """Degree blocks (lo, hi, m) and the (ncoef, pairs) sum of the product.
+
+        Block p pairs each left row in lo:hi (degree p) with the right rows :m
+        (degree <= order - p); a coefficient sums its pairs in lexicographic
+        order of the left multi-index.
+        """
         if self._mul is None:
-            n = self.sizes[self.order]
-            left, right, target = [], [], []
-            for k, gamma in enumerate(self.exps):
-                for alpha in _splits(gamma):
-                    beta = tuple(g - a for g, a in zip(gamma, alpha))
-                    left.append(self.pos[alpha])
-                    right.append(self.pos[beta])
-                    target.append(k)
-            left = np.asarray(left)
-            right = np.asarray(right)
-            target = np.asarray(target)
+            blocks, terms, lo = [], [], 0
+            for p in range(self.order + 1):
+                hi, m = self.sizes[p], self.sizes[self.order - p]
+                for i in range(lo, hi):
+                    for j in range(m):
+                        gamma = tuple(a + b for a, b in zip(self.exps[i], self.exps[j]))
+                        terms.append((self.pos[gamma], self.exps[i], len(terms)))
+                blocks.append((lo, hi, m))
+                lo = hi
+            target, _, column = zip(*sorted(terms))
             scatter = sp.csr_matrix(
-                (np.ones(len(target)), (np.arange(len(target)), target)),
-                shape=(len(target), n),
+                (np.ones(len(terms)), column,
+                 np.searchsorted(target, np.arange(len(self.exps) + 1))),
+                shape=(len(self.exps), len(terms)),
             )
-            self._mul = (left, right, scatter)
+            self._mul = (tuple(blocks), scatter)
         return self._mul
 
     @property
@@ -103,15 +113,6 @@ class _JetTable:
         return self._diff
 
 
-def _splits(gamma):
-    """All alpha with alpha <= gamma componentwise."""
-    ranges = [range(g + 1) for g in gamma]
-    out = [()]
-    for r in ranges:
-        out = [t + (v,) for t in out for v in r]
-    return out
-
-
 def _as_batch(value):
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
@@ -122,14 +123,14 @@ def _as_batch(value):
 class Jet:
     """One truncated Taylor expansion, batched over sample points."""
 
-    __slots__ = ("dim", "order", "coeffs", "base_point")
+    __slots__ = ("dim", "order", "c", "base_point")
     __array_ufunc__ = None  # keep numpy from broadcasting over us
     __array_priority__ = 1000
 
-    def __init__(self, dim, order, coeffs, base_point=None):
+    def __init__(self, dim, order, c, base_point=None):
         self.dim = dim
         self.order = order
-        self.coeffs = coeffs  # shape (batch, sizes[order])
+        self.c = c  # C-contiguous, shape (sizes[order], batch)
         self.base_point = base_point
 
     # -- construction -----------------------------------------------------
@@ -137,8 +138,8 @@ class Jet:
     @classmethod
     def constant(cls, value, dim, order, base_point=None):
         v = _as_batch(value)
-        c = np.zeros((v.shape[0], _table(dim, order).sizes[order]))
-        c[:, 0] = v
+        c = np.zeros((_table(dim, order).sizes[order], v.shape[0]))
+        c[0] = v
         return cls(dim, order, c, base_point)
 
     @classmethod
@@ -149,24 +150,29 @@ class Jet:
         tab = _table(dim, order)
         out = []
         for i in range(dim):
-            c = np.zeros((pt.shape[0], tab.sizes[order]))
-            c[:, 0] = pt[:, i]
+            c = np.zeros((tab.sizes[order], pt.shape[0]))
+            c[0] = pt[:, i]
             if order >= 1:
                 unit = [0] * dim
                 unit[i] = 1
-                c[:, tab.pos[tuple(unit)]] = 1.0
+                c[tab.pos[tuple(unit)]] = 1.0
             out.append(cls(dim, order, c, base_point=pt))
         return out
 
     # -- queries -----------------------------------------------------------
 
     @property
+    def coeffs(self):
+        """The coefficients as a (batch, ncoef) view."""
+        return self.c.T
+
+    @property
     def value(self):
-        return self.coeffs[:, 0]
+        return self.c[0]
 
     @property
     def batch(self):
-        return self.coeffs.shape[0]
+        return self.c.shape[1]
 
     def coefficient(self, alpha):
         alpha = tuple(alpha)
@@ -174,7 +180,7 @@ class Jet:
             raise JetOrderError(
                 f"coefficient {alpha} exceeds jet order {self.order}"
             )
-        return self.coeffs[:, _table(self.dim, self.order).pos[alpha]]
+        return self.c[_table(self.dim, self.order).pos[alpha]]
 
     def derivative(self, alpha):
         """d^alpha f at the base point (coefficient times alpha!)."""
@@ -188,7 +194,7 @@ class Jet:
         if order >= self.order:
             return self
         tab = _table(self.dim, self.order)
-        return Jet(self.dim, order, self.coeffs[:, : tab.sizes[order]], self.base_point)
+        return Jet(self.dim, order, self.c[: tab.sizes[order]], self.base_point)
 
     def partial(self, i):
         """Jet of df/dx_i; available order drops by one."""
@@ -196,7 +202,7 @@ class Jet:
             raise JetOrderError("derivative requested beyond jet order")
         src, fac = _table(self.dim, self.order).diff[i]
         n = _table(self.dim, self.order).sizes[self.order - 1]
-        return Jet(self.dim, self.order - 1, self.coeffs[:, src[:n]] * fac[:n], self.base_point)
+        return Jet(self.dim, self.order - 1, self.c[src[:n]] * fac[:n, None], self.base_point)
 
     # -- ring operations ---------------------------------------------------
 
@@ -210,22 +216,19 @@ class Jet:
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
-            c = self.coeffs.copy()
-            c[:, 0] = c[:, 0] + _as_batch(other)
+            v = _as_batch(other)
+            c = np.empty((len(self.c), max(self.batch, len(v))))
+            c[:] = self.c
+            c[0] += v
             return Jet(self.dim, self.order, c, self.base_point)
         order = min(self.order, o.order)
         bp = self.base_point if self.base_point is not None else o.base_point
-        return Jet(
-            self.dim,
-            order,
-            self.truncate(order).coeffs + o.truncate(order).coeffs,
-            bp,
-        )
+        return Jet(self.dim, order, self.truncate(order).c + o.truncate(order).c, bp)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.dim, self.order, -self.coeffs, self.base_point)
+        return Jet(self.dim, self.order, -self.c, self.base_point)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -np.asarray(other, float))
@@ -237,15 +240,21 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             w = _as_batch(other)
-            return Jet(self.dim, self.order, self.coeffs * w[:, None], self.base_point)
+            return Jet(self.dim, self.order, self.c * w[None, :], self.base_point)
         order = min(self.order, o.order)
-        tab = _table(self.dim, order)
-        left, right, scatter = tab.mul
-        a = self.truncate(order).coeffs
-        b = o.truncate(order).coeffs
-        prod = a[:, left] * b[:, right]
+        blocks, scatter = _table(self.dim, order).mul
+        a = self.truncate(order).c
+        b = o.truncate(order).c
+        batch = max(a.shape[1], b.shape[1])
+        prod = np.empty((scatter.shape[1], batch))
+        start = 0
+        for lo, hi, m in blocks:
+            stop = start + (hi - lo) * m
+            np.multiply(a[lo:hi, None], b[None, :m],
+                        out=prod[start:stop].reshape(hi - lo, m, batch))
+            start = stop
         bp = self.base_point if self.base_point is not None else o.base_point
-        return Jet(self.dim, order, prod @ scatter, bp)
+        return Jet(self.dim, order, scatter @ prod, bp)
 
     __rmul__ = __mul__
 
@@ -272,12 +281,12 @@ class Jet:
 
     def _compose(self, series):
         """Horner evaluation of sum_k series[k] * (self - value)^k."""
-        u = Jet(self.dim, self.order, self.coeffs.copy(), self.base_point)
-        u.coeffs[:, 0] = 0.0
+        u = Jet(self.dim, self.order, self.c.copy(), self.base_point)
+        u.c[0] = 0.0
         out = Jet.constant(series[-1], self.dim, self.order, self.base_point)
         for k in range(len(series) - 2, -1, -1):
             out = out * u
-            out.coeffs[:, 0] += series[k]
+            out.c[0] += series[k]
         return out
 
     def sin(self):

@@ -92,12 +92,21 @@ def _entry(manifold):
         raise SuiteUsageError(str(exc)) from None
 
 
+# the only suites whose kernels take their jet order from the config
+_JET_ORDER_SUITES = ("cone-identities", "weitzenboeck")
+
+
 def _validate(entry, config):
     if config.samples < 1:
         raise SuiteUsageError(f"samples must be at least 1, got {config.samples}")
-    if config.jet_order is not None and config.jet_order < 1:
-        raise SuiteUsageError(
-            f"jet order must be at least 1, got {config.jet_order}")
+    if config.jet_order is not None:
+        if config.suite not in _JET_ORDER_SUITES:
+            raise SuiteUsageError(
+                f"suite {config.suite!r} runs at fixed jet orders; a jet order "
+                f"applies only to {', '.join(_JET_ORDER_SUITES)}")
+        if config.jet_order < 1:
+            raise SuiteUsageError(
+                f"jet order must be at least 1, got {config.jet_order}")
     if config.grid is not None:
         _grid_counts(entry, config.grid)
     for r in config.radii:

@@ -160,6 +160,14 @@ def test_cli_list_and_exit_codes(tmp_path, capsys):
         assert cli_main(["verify", suite, "--manifold", "t3-blair", *flags]) == 2
     assert cli_main(["integrate", "one", "--manifold", "t3-blair",
                      "--radius", "1.0", "--grid", "0"]) == 2
+    # a jet order only reaches the suites that read it
+    jet_order = ["--manifold", "s3-round", "--jet-order", "4", "--samples", "3"]
+    assert cli_main(["verify", "kcontact", *jet_order]) == 2
+    assert cli_main(["verify", "cone-identities", *jet_order]) == 0
+    order_config = tmp_path / "order.json"
+    order_config.write_text(json.dumps({"jet_order": 4, "samples": 3}))
+    assert cli_main(["verify", "kcontact", "--manifold", "s3-round",
+                     "--config", str(order_config)]) == 2
     bad_config = tmp_path / "bad.json"
     bad_config.write_text(json.dumps({"samples": "many"}))
     for config in (bad_config, tmp_path / "missing.json"):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conelab.errors import JetOrderError
-from conelab.jets import Jet
+from conelab.jets import Jet, _table
 
 
 def poly_eval(coeffs, x, y):
@@ -57,6 +57,63 @@ def test_product_is_taylor_convolution(ca, cb):
             assert got == pytest.approx(want, rel=1e-9, abs=1e-8)
 
 
+def convolution(dim, order_a, a, order_b, b):
+    """Truncated product by direct multi-index convolution over the index lists."""
+    order = min(order_a, order_b)
+    pos = {e: k for k, e in enumerate(_table(dim, order).exps)}
+    out = np.zeros((max(len(a), len(b)), len(pos)))
+    for i, alpha in enumerate(_table(dim, order_a).exps):
+        for j, beta in enumerate(_table(dim, order_b).exps):
+            gamma = tuple(x + y for x, y in zip(alpha, beta))
+            if sum(gamma) <= order:
+                out[:, pos[gamma]] += a[:, i] * b[:, j]
+    return out
+
+
+def jet_from_rows(dim, order, coeffs):
+    """A jet whose ``coeffs`` are the given (batch, ncoef) array."""
+    return Jet(dim, order, np.ascontiguousarray(coeffs.T))
+
+
+@st.composite
+def product_cases(draw):
+    dim = draw(st.integers(1, 6))
+    # cap the coefficient count so the reference's double loop stays quick
+    top = max(k for k in range(7) if len(_table(dim, k).exps) <= 252)
+    orders = draw(st.tuples(st.integers(0, top), st.integers(0, top)))
+    batch = draw(st.integers(1, 4))
+    batches = draw(st.sampled_from([(batch, batch), (1, batch), (batch, 1)]))
+    return dim, orders, batches, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_cases())
+def test_product_matches_multi_index_convolution(case):
+    """Any dim, mixed orders and batch-1 broadcasting on either side."""
+    dim, orders, batches, seed = case
+    rng = np.random.default_rng(seed)
+    coeffs = [rng.normal(size=(n, len(_table(dim, k).exps)))
+              for n, k in zip(batches, orders)]
+    x, y = (jet_from_rows(dim, k, c) for k, c in zip(orders, coeffs))
+    want = convolution(dim, orders[0], coeffs[0], orders[1], coeffs[1])
+    for prod in (x * y, y * x):
+        assert prod.order == min(orders)
+        assert prod.coeffs.shape == want.shape == (max(batches), len(_table(dim, prod.order).exps))
+        np.testing.assert_allclose(prod.coeffs, want, rtol=1e-12, atol=1e-12)
+
+
+def test_product_matches_convolution_at_every_dim_and_order():
+    rng = np.random.default_rng(4)
+    for dim in range(1, 7):
+        for order in range(7):
+            n = len(_table(dim, order).exps)
+            a, b = rng.normal(size=(2, 2, n))
+            prod = jet_from_rows(dim, order, a) * jet_from_rows(dim, order, b[:1])
+            want = convolution(dim, order, a, order, b[:1])
+            assert prod.coeffs.shape == (2, n)
+            np.testing.assert_allclose(prod.coeffs, want, rtol=1e-12, atol=1e-12)
+
+
 def test_primitives_match_analytic_derivatives():
     pts = np.array([[0.3, -0.7], [1.1, 0.2]])
     x, y = Jet.variables(pts, 5)
@@ -103,6 +160,12 @@ def test_batched_broadcasting():
     assert out.batch == 3
     want = (2 * pts[:, 0] + [1, 2, 3]) * pts[:, 1]
     assert np.allclose(out.value, want)
+    # a batch-1 jet plus or minus an array broadcasts as a product does
+    for jet in (c + np.array([1.0, 2.0, 3.0]), np.array([5.0, 6.0, 7.0]) - c,
+                c * np.array([1.5, 2.0, 2.5])):
+        assert jet.batch == 3 and jet.coeffs.shape == (3, 6)
+        assert np.allclose(jet.value, [3.0, 4.0, 5.0])
+        assert not np.any(jet.coeffs[:, 1:])
 
 
 def test_truncation_is_prefix():

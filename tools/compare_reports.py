@@ -1,0 +1,125 @@
+"""Compare the canonical reports of two conelab source trees.
+
+    python3 tools/compare_reports.py PARENT_SRC CHANGE_SRC OUTDIR
+
+Runs ``conelab verify --report`` with each ``src`` directory on
+``PYTHONPATH`` for every valid (suite, manifold) pair at default settings:
+six suites on the four catalog manifolds plus ``hypersasaki`` on
+``s3-round``, with ``weitzenboeck`` on ``s5-round`` at ``--samples 6``.  The
+two sides of a pair run at the same time.  Reports go to
+``OUTDIR/parent`` and ``OUTDIR/change``, and a summary to
+``OUTDIR/summary.json``.
+
+For each pair it prints whether the report files are byte-equal, whether the
+identity lists, verdicts and exit codes are equal, and each residual that
+moved, with its shift as a share of the benchmark gate's allowance
+``max(RTOL * |ref|, ATOL_SHARE * tolerance)`` (``perfbench/workloads.py``);
+residuals not listed are equal.  Exits 1 when any pair differs
+in identities, verdicts or exit code, or moves a residual beyond that
+allowance.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import ATOL_SHARE, RTOL  # noqa: E402  (the gate's roundoff rule)
+
+MANIFOLDS = ("t3-blair", "t3-unnormalized", "s3-round", "s5-round")
+SUITES = ("cone-identities", "contact-axioms", "kcontact", "sasaki",
+          "weitzenboeck", "integration")
+PAIRS = [(s, m) for s in SUITES for m in MANIFOLDS] + [("hypersasaki", "s3-round")]
+EXTRA_FLAGS = {("weitzenboeck", "s5-round"): ["--samples", "6"]}
+
+
+def start(src, suite, manifold, report):
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    cmd = [sys.executable, "-m", "conelab.cli", "verify", suite,
+           "--manifold", manifold, "--report", str(report),
+           *EXTRA_FLAGS.get((suite, manifold), [])]
+    return subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True)
+
+
+def compare(ref_path, new_path):
+    """(identity lists and verdicts equal, one row per residual that moved).
+
+    A moved residual's row is (identity, field, parent value, change value,
+    shift as a share of the gate's allowance); a share above 1 is a violation.
+    """
+    ref = json.loads(ref_path.read_text())["reports"]
+    new = json.loads(new_path.read_text())["reports"]
+    same = ([(r["identity"], r["verdict"]) for r in ref]
+            == [(r["identity"], r["verdict"]) for r in new])
+    moved = []
+    for r, n in zip(ref, new):
+        for key in ("max_residual", "rms_residual"):
+            want, got = r[key], n[key]
+            if want is None or got is None:   # error verdicts carry no residual
+                same &= want == got
+            elif got != want:
+                allowance = max(RTOL * abs(want), ATOL_SHARE * r["tolerance"])
+                moved.append((r["identity"], key, want, got, abs(got - want) / allowance))
+    return same, moved
+
+
+def main(argv):
+    if len(argv) != 3:
+        print("usage: compare_reports.py PARENT_SRC CHANGE_SRC OUTDIR", file=sys.stderr)
+        return 2
+    parent_src, change_src, outdir = argv
+    sides = {"parent": parent_src, "change": change_src}
+    for side in sides:
+        (Path(outdir) / side).mkdir(parents=True, exist_ok=True)
+    rows, failed = [], False
+    for suite, manifold in PAIRS:
+        paths = {side: Path(outdir) / side / f"{suite}.{manifold}.json" for side in sides}
+        procs = {side: start(src, suite, manifold, paths[side])
+                 for side, src in sides.items()}
+        codes = {}
+        for side, proc in procs.items():
+            _, err = proc.communicate()
+            codes[side] = proc.returncode
+            if proc.returncode not in (0, 1):
+                print(f"{side} {suite}/{manifold} exited {proc.returncode}: {err.strip()}",
+                      file=sys.stderr)
+        if any(code not in (0, 1) for code in codes.values()):
+            failed = True
+            rows.append({"suite": suite, "manifold": manifold, "exit": codes})
+            continue
+        byte_equal = paths["parent"].read_bytes() == paths["change"].read_bytes()
+        same, moved = compare(paths["parent"], paths["change"])
+        ok = same and codes["parent"] == codes["change"] and all(m[4] <= 1.0 for m in moved)
+        failed |= not ok
+        rows.append({"suite": suite, "manifold": manifold, "exit": codes,
+                     "byte_equal": byte_equal, "identities_and_verdicts_equal": same,
+                     "moved": moved, "ok": ok})
+        print(f"{suite:16s} {manifold:16s} bytes {'equal' if byte_equal else 'DIFFER':6s} "
+              f"identities/verdicts {'equal' if same else 'DIFFER':6s} "
+              f"exit {codes['parent']}/{codes['change']} "
+              f"residuals moved {len(moved)}{'' if ok else '  VIOLATION'}", flush=True)
+        for identity, key, want, got, share in moved:
+            print(f"    {identity} {key} {want!r} -> {got!r}: {share:.3g} of allowance")
+    summary = {
+        "pairs": len(rows),
+        "byte_equal": sum(bool(r.get("byte_equal")) for r in rows),
+        "not_byte_equal": [f"{r['suite']}/{r['manifold']}" for r in rows
+                           if not r.get("byte_equal")],
+        "violations": [f"{r['suite']}/{r['manifold']}" for r in rows if not r.get("ok")],
+        "rule": f"|shift| <= max({RTOL:g} * |ref|, {ATOL_SHARE:g} * tolerance)",
+        "rows": rows,
+    }
+    (Path(outdir) / "summary.json").write_text(json.dumps(summary, indent=1) + "\n")
+    print(f"{summary['byte_equal']}/{summary['pairs']} byte-equal; "
+          f"{len(summary['violations'])} violations")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
