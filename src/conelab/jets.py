@@ -12,7 +12,9 @@ prefix of rows.  A product works in degree blocks: the left multi-indices of
 degree p pair with the right multi-indices of degree <= order - p, which are
 again a prefix, so each block is one broadcast multiply into a shared
 ``(pairs, batch)`` buffer, and one sparse sum adds every pair into the
-coefficient of its summed multi-index.  Analytic primitives (sin, exp, sqrt,
+coefficient of its summed multi-index.  A product with an identically zero
+factor returns zeros without multiplying, unless a factor holds a NaN or inf,
+whose product must still propagate.  Analytic primitives (sin, exp, sqrt,
 reciprocal, ...) are Horner evaluations of the outer function's univariate
 Taylor series in the zero-constant part of the argument; on polynomial data
 the arithmetic is exact up to roundoff.
@@ -111,6 +113,11 @@ class _JetTable:
                 maps.append((src, fac))
             self._diff = maps
         return self._diff
+
+
+def _is_zero(c):
+    # the value row first: most nonzero jets are settled by one scan of it
+    return not (c[0].any() or c.any())
 
 
 def _as_batch(value):
@@ -242,10 +249,14 @@ class Jet:
             w = _as_batch(other)
             return Jet(self.dim, self.order, self.c * w[None, :], self.base_point)
         order = min(self.order, o.order)
-        blocks, scatter = _table(self.dim, order).mul
         a = self.truncate(order).c
         b = o.truncate(order).c
         batch = max(a.shape[1], b.shape[1])
+        bp = self.base_point if self.base_point is not None else o.base_point
+        # A fresh array: _compose writes into the product's value row.
+        if (_is_zero(a) or _is_zero(b)) and np.isfinite(a).all() and np.isfinite(b).all():
+            return Jet(self.dim, order, np.zeros((len(a), batch)), bp)
+        blocks, scatter = _table(self.dim, order).mul
         prod = np.empty((scatter.shape[1], batch))
         start = 0
         for lo, hi, m in blocks:
@@ -253,7 +264,6 @@ class Jet:
             np.multiply(a[lo:hi, None], b[None, :m],
                         out=prod[start:stop].reshape(hi - lo, m, batch))
             start = stop
-        bp = self.base_point if self.base_point is not None else o.base_point
         return Jet(self.dim, order, scatter @ prod, bp)
 
     __rmul__ = __mul__

@@ -491,7 +491,8 @@ _DIVERGENCE = ("divergence-pairing", "divergence-ricci")
 _NONNEGATIVE = ("f-term", "solved-curvature", "rough-laplacian", "phi-norm")
 
 # One pipeline pass serves every integrand of its family at the same points.
-# Keyed by the points' bytes, so only identical samples share a pass.
+# Keyed by the points' bytes, so only identical samples share a pass; every
+# reuse is of the pass just made, so a miss drops the one held before it.
 _WDATA_CACHE = {}
 
 
@@ -499,8 +500,7 @@ def _cached_wdata(entry, points, r, order, mode):
     pts = np.asarray(points, float)
     key = (entry.key, pts.shape, pts.tobytes(), float(r), order, mode)
     if key not in _WDATA_CACHE:
-        if len(_WDATA_CACHE) > 8:
-            _WDATA_CACHE.clear()
+        _WDATA_CACHE.clear()
         spec = entry.structures[0]
         st = contact.ContactMetricStructure(entry.chart, spec.xi, spec.name)
         sympl = contact.ConeSymplecticData(cone_mod.build_cone(entry.chart), st)

@@ -208,7 +208,8 @@ def test_cli_entry_point_subprocess():
 
 def test_integrand_cache_is_keyed_by_content(monkeypatch):
     """Different points of the same count get their own pipeline pass; a
-    second integrand at the same points reuses the first one's."""
+    second integrand at the same points reuses the first one's, and only the
+    last pass is kept."""
     calls = []
     real = weitzenboeck.weitzenboeck_data
 
@@ -226,6 +227,7 @@ def test_integrand_cache_is_keyed_by_content(monkeypatch):
     suites.integrand_values(entry, "divergence-ricci", second, 1.0)
     assert len(calls) == 2
     assert np.array_equal(calls[1], second)
+    assert len(suites._WDATA_CACHE) == 1
 
 
 def test_non_finite_residual_is_an_error_with_valid_json():

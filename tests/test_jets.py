@@ -83,23 +83,53 @@ def product_cases(draw):
     orders = draw(st.tuples(st.integers(0, top), st.integers(0, top)))
     batch = draw(st.integers(1, 4))
     batches = draw(st.sampled_from([(batch, batch), (1, batch), (batch, 1)]))
-    return dim, orders, batches, draw(st.integers(0, 2**32 - 1))
+    zeros = draw(st.sampled_from([(False, False), (True, False), (False, True), (True, True)]))
+    return dim, orders, batches, zeros, draw(st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(product_cases())
 def test_product_matches_multi_index_convolution(case):
-    """Any dim, mixed orders and batch-1 broadcasting on either side."""
-    dim, orders, batches, seed = case
+    """Any dim, mixed orders, batch-1 broadcasting on either side, and either
+    factor, or both, zero up to the product's order (so all zero when it is
+    the lower-order factor or the orders are equal)."""
+    dim, orders, batches, zeros, seed = case
     rng = np.random.default_rng(seed)
     coeffs = [rng.normal(size=(n, len(_table(dim, k).exps)))
               for n, k in zip(batches, orders)]
+    for c, zero in zip(coeffs, zeros):
+        if zero:
+            c[:, :len(_table(dim, min(orders)).exps)] = 0.0
     x, y = (jet_from_rows(dim, k, c) for k, c in zip(orders, coeffs))
     want = convolution(dim, orders[0], coeffs[0], orders[1], coeffs[1])
     for prod in (x * y, y * x):
         assert prod.order == min(orders)
         assert prod.coeffs.shape == want.shape == (max(batches), len(_table(dim, prod.order).exps))
         np.testing.assert_allclose(prod.coeffs, want, rtol=1e-12, atol=1e-12)
+        if any(zeros):
+            assert np.array_equal(prod.coeffs, want)
+
+
+def test_zero_factor_propagates_non_finite_and_returns_a_fresh_array():
+    dim, order = 2, 3
+    n = len(_table(dim, order).exps)
+    zero = jet_from_rows(dim, order, np.zeros((2, n)))
+    rows = np.random.default_rng(5).normal(size=(2, n))
+    bad = rows.copy()
+    bad[0, 0], bad[1, 4] = np.nan, np.inf
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        want = convolution(dim, order, np.zeros((2, n)), order, bad)
+        prods = (zero * jet_from_rows(dim, order, bad), jet_from_rows(dim, order, bad) * zero)
+    assert np.isnan(want).any() and not np.isnan(want).all()
+    for prod in prods:
+        np.testing.assert_array_equal(prod.coeffs, want)
+    # the zero product is written in place (as _compose does): nothing else moves
+    b = jet_from_rows(dim, order, rows)
+    z = zero * b
+    z.c[0] += 1.0
+    assert not (zero * b).c.any()
+    assert not zero.c.any()
+    assert np.array_equal(b.coeffs, rows)
 
 
 def test_product_matches_convolution_at_every_dim_and_order():

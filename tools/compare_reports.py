@@ -6,17 +6,17 @@ Runs ``conelab verify --report`` with each ``src`` directory on
 ``PYTHONPATH`` for every valid (suite, manifold) pair at default settings:
 six suites on the four catalog manifolds plus ``hypersasaki`` on
 ``s3-round``, with ``weitzenboeck`` on ``s5-round`` at ``--samples 6``.  The
-two sides of a pair run at the same time.  Reports go to
-``OUTDIR/parent`` and ``OUTDIR/change``, and a summary to
-``OUTDIR/summary.json``.
+two sides of a pair run at the same time, one process each.  Reports go to
+``OUTDIR/parent`` and ``OUTDIR/change``, and a summary, with each side's
+wall seconds per pair (process start to exit), to ``OUTDIR/summary.json``.
 
-For each pair it prints whether the report files are byte-equal, whether the
-identity lists, verdicts and exit codes are equal, and each residual that
-moved, with its shift as a share of the benchmark gate's allowance
-``max(RTOL * |ref|, ATOL_SHARE * tolerance)`` (``perfbench/workloads.py``);
-residuals not listed are equal.  Exits 1 when any pair differs
-in identities, verdicts or exit code, or moves a residual beyond that
-allowance.
+For each pair it prints both sides' wall seconds, whether the report files
+are byte-equal, whether the identity lists, verdicts and exit codes are
+equal, and each residual that moved, with its shift as a share of the
+benchmark gate's allowance ``max(RTOL * |ref|, ATOL_SHARE * tolerance)``
+(``perfbench/workloads.py``); residuals not listed are equal.  Exits 1 when
+any pair differs in identities, verdicts or exit code, or moves a residual
+beyond that allowance.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,13 +40,16 @@ PAIRS = [(s, m) for s in SUITES for m in MANIFOLDS] + [("hypersasaki", "s3-round
 EXTRA_FLAGS = {("weitzenboeck", "s5-round"): ["--samples", "6"]}
 
 
-def start(src, suite, manifold, report):
+def verify(src, suite, manifold, report):
+    """(exit code, stderr, wall seconds) of one ``conelab verify`` run."""
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     cmd = [sys.executable, "-m", "conelab.cli", "verify", suite,
            "--manifold", manifold, "--report", str(report),
            *EXTRA_FLAGS.get((suite, manifold), [])]
-    return subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
-                            stderr=subprocess.PIPE, text=True)
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True)
+    return proc.returncode, proc.stderr, time.perf_counter() - start
 
 
 def compare(ref_path, new_path):
@@ -80,27 +85,30 @@ def main(argv):
     rows, failed = [], False
     for suite, manifold in PAIRS:
         paths = {side: Path(outdir) / side / f"{suite}.{manifold}.json" for side in sides}
-        procs = {side: start(src, suite, manifold, paths[side])
-                 for side, src in sides.items()}
-        codes = {}
-        for side, proc in procs.items():
-            _, err = proc.communicate()
-            codes[side] = proc.returncode
-            if proc.returncode not in (0, 1):
-                print(f"{side} {suite}/{manifold} exited {proc.returncode}: {err.strip()}",
+        with ThreadPoolExecutor(len(sides)) as pool:
+            runs = dict(zip(sides, pool.map(
+                lambda side: verify(sides[side], suite, manifold, paths[side]), sides)))
+        codes = {side: run[0] for side, run in runs.items()}
+        seconds = {side: round(run[2], 2) for side, run in runs.items()}
+        for side, (code, err, _) in runs.items():
+            if code not in (0, 1):
+                print(f"{side} {suite}/{manifold} exited {code}: {err.strip()}",
                       file=sys.stderr)
         if any(code not in (0, 1) for code in codes.values()):
             failed = True
-            rows.append({"suite": suite, "manifold": manifold, "exit": codes})
+            rows.append({"suite": suite, "manifold": manifold, "exit": codes,
+                         "wall_s": seconds})
             continue
         byte_equal = paths["parent"].read_bytes() == paths["change"].read_bytes()
         same, moved = compare(paths["parent"], paths["change"])
         ok = same and codes["parent"] == codes["change"] and all(m[4] <= 1.0 for m in moved)
         failed |= not ok
         rows.append({"suite": suite, "manifold": manifold, "exit": codes,
-                     "byte_equal": byte_equal, "identities_and_verdicts_equal": same,
-                     "moved": moved, "ok": ok})
-        print(f"{suite:16s} {manifold:16s} bytes {'equal' if byte_equal else 'DIFFER':6s} "
+                     "wall_s": seconds, "byte_equal": byte_equal,
+                     "identities_and_verdicts_equal": same, "moved": moved, "ok": ok})
+        print(f"{suite:16s} {manifold:16s} "
+              f"{seconds['parent']:7.2f}/{seconds['change']:<7.2f} s "
+              f"bytes {'equal' if byte_equal else 'DIFFER':6s} "
               f"identities/verdicts {'equal' if same else 'DIFFER':6s} "
               f"exit {codes['parent']}/{codes['change']} "
               f"residuals moved {len(moved)}{'' if ok else '  VIOLATION'}", flush=True)
