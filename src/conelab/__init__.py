@@ -26,19 +26,6 @@ from .errors import (
     JetOrderError,
     NotContactMetricError,
 )
-from .geometry import (
-    OrthonormalFrame,
-    TensorField,
-    TensorValue,
-    christoffel,
-    codifferential_oneform,
-    covariant_derivative,
-    laplacian_scalar,
-    orthonormal_frame,
-    ricci,
-    riemann,
-    scalar_curvature,
-)
 from .jets import Jet
 from .pairs import StructurePair, anticommutator_lambda
 from .report import CheckReport, SuiteConfig, report_json

@@ -19,12 +19,11 @@ plain unit metric so the axiom failure itself can be asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
 from .chart import ManifoldChart
-from .geometry import TensorField
 from .jets import cos, sin
 
 TWO_PI = 2.0 * np.pi
@@ -35,7 +34,7 @@ class StructureSpec:
     """Named candidate Reeb field with its expected classification."""
 
     name: str
-    xi: TensorField
+    xi: Callable  # jet coordinates -> contravariant components
     expected: str  # sasakian | contact-metric | not-contact-metric
 
 
@@ -70,7 +69,7 @@ def _vec(fn):
             out[i] = c if not isinstance(c, (int, float)) else x[0] * 0.0 + c
         return out
 
-    return TensorField((1, 0), wrapped)
+    return wrapped
 
 
 # -- flat torus entries -------------------------------------------------------
@@ -148,12 +147,12 @@ def _s3_chart() -> ManifoldChart:
     )
 
 
-def s3_reeb_i() -> TensorField:
+def s3_reeb_i() -> Callable:
     """Hopf field of the ambient complex structure i: d_beta + d_gamma."""
     return _vec(lambda x: [x[0] * 0.0, x[0] * 0.0 + 1.0, x[0] * 0.0 + 1.0])
 
 
-def s3_reeb_j() -> TensorField:
+def s3_reeb_j() -> Callable:
     def comps(x):
         al, be, ga = x[0], x[1], x[2]
         phase = be + ga
@@ -164,7 +163,7 @@ def s3_reeb_j() -> TensorField:
     return _vec(comps)
 
 
-def s3_reeb_k() -> TensorField:
+def s3_reeb_k() -> Callable:
     def comps(x):
         al, be, ga = x[0], x[1], x[2]
         phase = be + ga
@@ -175,12 +174,12 @@ def s3_reeb_k() -> TensorField:
     return _vec(comps)
 
 
-def s3_reeb_combination(a: float, b: float, c: float) -> TensorField:
+def s3_reeb_combination(a: float, b: float, c: float) -> Callable:
     """Unit combination a*i + b*j + c*k of the ambient quaternion fields."""
     fi, fj, fk = s3_reeb_i(), s3_reeb_j(), s3_reeb_k()
 
     def comps(x):
-        vi, vj, vk = fi.fn(x), fj.fn(x), fk.fn(x)
+        vi, vj, vk = fi(x), fj(x), fk(x)
         return [a * vi[m] + b * vj[m] + c * vk[m] for m in range(3)]
 
     return _vec(comps)

@@ -10,7 +10,7 @@ margin away from non-periodic domain walls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -107,10 +107,9 @@ class ManifoldChart:
                     pts[k, i] = rng.uniform(lo, lo + period)
         return pts
 
-    def validate(self, rng: Optional[SplitMix64] = None, probes: int = 25):
-        """SPD at random probes plus a periodicity spot-check."""
-        rng = rng or SplitMix64(2023)
-        pts = self.sample_points(probes, rng)
+    def validate(self):
+        """SPD at 25 random probes plus a periodicity spot-check."""
+        pts = self.sample_points(25, SplitMix64(2023))
         self.check_spd(pts)
         for i, period in enumerate(self.periodic):
             if period is None:

@@ -7,9 +7,11 @@
     conelab integrate <integrand> --manifold <id> --radius r [--grid N]
 
 Exit codes: 0 all identities pass, 1 failures or engine errors, 2 usage
-(including sample counts, jet orders, grid counts or radii out of range).
-The reason for each `error` verdict goes to stderr.  A JSON config file may
-supply the same fields as the flags; flags win.
+(including sample counts, jet orders, grid counts or radii out of range, a
+grid or jet order given to a suite that does not read it, and a config file
+that is not a JSON object or has a field of the wrong JSON type).  The reason
+for each `error` verdict goes to stderr.  A JSON config file may supply the
+same fields as the flags; flags win.
 """
 
 from __future__ import annotations
@@ -47,6 +49,13 @@ def _parse_grid(text):
         raise SuiteUsageError(f"--grid expects N or N1,N2,..., got {text!r}")
 
 
+def _typed(value, kinds, what):
+    """value itself when it has one of the JSON types kinds (never a boolean)."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise SuiteUsageError(f"{what} has the wrong type: {value!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="conelab",
@@ -78,29 +87,37 @@ def build_parser():
 
 
 def _load_config(args) -> SuiteConfig:
+    """Flags over the fields of the JSON config file.
+
+    Each field the file sets is type-checked even where a flag overrides it;
+    null leaves a field at its default.
+    """
     base = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
-    cfg = SuiteConfig(manifold=base.get("manifold", ""), suite=args.suite)
-    cfg.manifold = args.manifold or base.get("manifold", "")
-    cfg.grid = _parse_grid(args.grid) if args.grid is not None else base.get("grid")
-    radii = args.radius if args.radius is not None else base.get("radii")
+            base = _typed(json.load(fh), dict, "the config file's content")
+
+    def pick(flag, key, kinds, default=None):
+        value = base.get(key)
+        if value is None:
+            value = default
+        else:
+            _typed(value, kinds, f"config field {key!r}")
+        return value if flag is None else flag
+
+    cfg = SuiteConfig(manifold=pick(args.manifold or None, "manifold", str, ""),
+                      suite=args.suite)
+    cfg.grid = pick(_parse_grid(args.grid), "grid", (int, list))
+    radii = pick(args.radius, "radii", list)
     if radii:
-        cfg.radii = tuple(float(r) for r in radii)
-    cfg.jet_order = (args.jet_order if args.jet_order is not None
-                     else base.get("jet_order"))
-    tols = dict(base.get("tolerances", {}))
+        cfg.radii = tuple(float(_typed(r, (int, float), "a radius")) for r in radii)
+    cfg.jet_order = pick(args.jet_order, "jet_order", int)
+    tols = {key: _typed(tol, (int, float), f"the tolerance for {key!r}")
+            for key, tol in pick(None, "tolerances", dict, {}).items()}
     tols.update(_parse_tol(args.tol))
     cfg.tolerances = tols
-    if args.seed is not None:
-        cfg.seed = args.seed
-    elif "seed" in base:
-        cfg.seed = int(base["seed"])
-    if args.samples is not None:
-        cfg.samples = args.samples
-    elif "samples" in base:
-        cfg.samples = int(base["samples"])
+    cfg.seed = pick(args.seed, "seed", int, cfg.seed)
+    cfg.samples = pick(args.samples, "samples", int, cfg.samples)
     return cfg
 
 

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chart import ManifoldChart
+from .chart import ManifoldChart, jet_point
 from .errors import ConeCompletionError
 from .geometry import (
     PointGeometry,
@@ -120,17 +120,13 @@ def lift_form(base_fn: Callable, degree: int) -> Callable:
 # frozen orthonormal-frame tensor norm on the cone.
 
 
-def cone_geometry(cone: ConeChart, base_points, radii, order):
-    pts = np.column_stack([np.atleast_2d(base_points), np.asarray(radii, float)])
-    from .chart import jet_point
-
+def cone_geometry(cone: ConeChart, base_pts, radii, order):
+    pts = np.column_stack([np.atleast_2d(base_pts), np.asarray(radii, float)])
     return PointGeometry(cone.chart, jet_point(cone.chart, pts, order))
 
 
-def base_geometry(cone: ConeChart, base_points, order):
-    from .chart import jet_point
-
-    return PointGeometry(cone.base, jet_point(cone.base, base_points, order))
+def base_geometry(cone: ConeChart, base_pts, order):
+    return PointGeometry(cone.base, jet_point(cone.base, base_pts, order))
 
 
 def _vec_norm(geo, comps_vals):
@@ -141,11 +137,11 @@ def _form_norm(geo, comps_vals, rank):
     return np.sqrt(np.abs(norm_squared(geo.g_values, geo.ginv_values, comps_vals, "l" * rank)))
 
 
-def connection_relation_residuals(cone, base_points, radii, dir_x, dir_y,
-                                  order=3, geo=None, bgeo=None):
+def connection_relation_residuals(cone, base_pts, radii, dir_x, dir_y,
+                                  geo=None, bgeo=None):
     """Residuals of the five vector-level cone connection identities."""
-    geo = geo or cone_geometry(cone, base_points, radii, order)
-    bgeo = bgeo or base_geometry(cone, base_points, order)
+    geo = geo or cone_geometry(cone, base_pts, radii, 3)
+    bgeo = bgeo or base_geometry(cone, base_pts, 3)
     d = cone.base.dim
     B = geo.g_values.shape[0]
     r = np.asarray(radii, float)
@@ -199,11 +195,11 @@ def _const_base(bgeo, comps):
     return out
 
 
-def form_relation_residuals(cone, base_points, radii, dir_x, base_form_fn,
-                            degree, order=3, geo=None, bgeo=None):
+def form_relation_residuals(cone, base_pts, radii, dir_x, base_form_fn,
+                            degree, geo=None, bgeo=None):
     """Residuals of both lifted-form derivative identities for one p-form."""
-    geo = geo or cone_geometry(cone, base_points, radii, order)
-    bgeo = bgeo or base_geometry(cone, base_points, order)
+    geo = geo or cone_geometry(cone, base_pts, radii, 3)
+    bgeo = bgeo or base_geometry(cone, base_pts, 3)
     d = cone.base.dim
     B = geo.g_values.shape[0]
     r = np.asarray(radii, float)
@@ -249,11 +245,10 @@ def form_relation_residuals(cone, base_points, radii, dir_x, base_form_fn,
     return {"form-radial": res_radial, "form-directional": res_dir}
 
 
-def dr_relation_residuals(cone, base_points, radii, dir_x, order=2,
-                          geo=None, bgeo=None):
+def dr_relation_residuals(cone, base_pts, radii, dir_x, geo=None, bgeo=None):
     """Residuals of both identities for the exact radial 1-form dr."""
-    geo = geo or cone_geometry(cone, base_points, radii, order)
-    bgeo = bgeo or base_geometry(cone, base_points, order=1)
+    geo = geo or cone_geometry(cone, base_pts, radii, 2)
+    bgeo = bgeo or base_geometry(cone, base_pts, 1)
     d = cone.base.dim
     B = geo.g_values.shape[0]
     r = np.asarray(radii, float)
@@ -276,11 +271,11 @@ def dr_relation_residuals(cone, base_points, radii, dir_x, order=2,
     return {"dr-radial": res_radial, "dr-hessian": res_dir}
 
 
-def curvature_relation_residuals(cone, base_points, radii, dir_x, dir_y, dir_z,
-                                 order=3, geo=None, bgeo=None):
+def curvature_relation_residuals(cone, base_pts, radii, dir_x, dir_y, dir_z,
+                                 geo=None, bgeo=None):
     """Residuals of both curvature identities relating cone and base."""
-    geo = geo or cone_geometry(cone, base_points, radii, order)
-    bgeo = bgeo or base_geometry(cone, base_points, order=3)
+    geo = geo or cone_geometry(cone, base_pts, radii, 3)
+    bgeo = bgeo or base_geometry(cone, base_pts, 3)
     d = cone.base.dim
     B = geo.g_values.shape[0]
 
@@ -305,11 +300,11 @@ def curvature_relation_residuals(cone, base_points, radii, dir_x, dir_y, dir_z,
     return {"curvature-radial": res_radial, "curvature-horizontal": res_dir}
 
 
-def lemma_codifferential_residuals(cone, base_points, radii, sigma_base_fn, k,
-                                   order=2, geo=None, bgeo=None):
+def lemma_codifferential_residuals(cone, base_pts, radii, sigma_base_fn, k,
+                                   geo=None, bgeo=None):
     """|delta_cone(r^k sigma) - r^{k-2} delta_base(sigma)| per sample."""
-    geo = geo or cone_geometry(cone, base_points, radii, order)
-    bgeo = bgeo or base_geometry(cone, base_points, order)
+    geo = geo or cone_geometry(cone, base_pts, radii, 2)
+    bgeo = bgeo or base_geometry(cone, base_pts, 2)
     d = cone.base.dim
     r = np.asarray(radii, float)
 
@@ -323,11 +318,11 @@ def lemma_codifferential_residuals(cone, base_points, radii, sigma_base_fn, k,
     return np.abs(lhs - rhs), lhs, rhs
 
 
-def lemma_laplacian_residuals(cone, base_points, radii, f_base_fn, k, order=3,
+def lemma_laplacian_residuals(cone, base_pts, radii, f_base_fn, k,
                               geo=None, bgeo=None):
     """|Lap_cone(r^k f) - r^{k-2}(Lap_base f - k(2n+k) f)| per sample."""
-    geo = geo or cone_geometry(cone, base_points, radii, order)
-    bgeo = bgeo or base_geometry(cone, base_points, order)
+    geo = geo or cone_geometry(cone, base_pts, radii, 3)
+    bgeo = bgeo or base_geometry(cone, base_pts, 3)
     n = cone.n
     r = np.asarray(radii, float)
 
@@ -339,11 +334,11 @@ def lemma_laplacian_residuals(cone, base_points, radii, f_base_fn, k, order=3,
     return np.abs(lhs - rhs), lhs, rhs
 
 
-def block_metric_residuals(cone, base_points, radii):
+def block_metric_residuals(cone, base_pts, radii):
     """Literal check of the block structure of the cone metric."""
-    pts = np.column_stack([np.atleast_2d(base_points), np.asarray(radii, float)])
+    pts = np.column_stack([np.atleast_2d(base_pts), np.asarray(radii, float)])
     gc = cone.chart.metric_values(pts)
-    gb = cone.base.metric_values(np.atleast_2d(base_points))
+    gb = cone.base.metric_values(np.atleast_2d(base_pts))
     r = np.asarray(radii, float)
     d = cone.base.dim
     res_rr = np.abs(gc[:, d, d] - 1.0)

@@ -19,16 +19,15 @@ residual suites quantify.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable
 
 import numpy as np
 
 from .chart import ManifoldChart, jet_point
-from .cone import R_RANGE, ConeChart, build_cone
+from .cone import ConeChart, build_cone
 from .errors import IncompatibleStructureError, NotContactMetricError
 from .geometry import (
     PointGeometry,
-    TensorField,
     exterior_derivative,
     norm_squared,
     orthonormal_frame_values,
@@ -43,7 +42,7 @@ class ContactMetricStructure:
     """Validated (xi, eta, phi) bundle on a chart."""
 
     chart: ManifoldChart
-    xi: TensorField
+    xi: Callable  # jet coordinates -> contravariant components
     name: str = "xi"
 
     @property
@@ -54,7 +53,7 @@ class ContactMetricStructure:
 
     def eta(self, geo: PointGeometry):
         """eta = g(xi, .) as an object 1-form."""
-        x = self.xi.fn(geo.x)
+        x = self.xi(geo.x)
         d = self.chart.dim
         out = np.empty(d, object)
         for i in range(d):
@@ -73,44 +72,47 @@ class ContactMetricStructure:
 
     def phi(self, geo: PointGeometry):
         """phi[a, i] = phi^a_i solved from g(phi X, Y) = (d eta)(X, Y)/2."""
-        h = self.half_deta(geo)
-        d = self.chart.dim
-        out = np.empty((d, d), object)
-        for a in range(d):
-            for i in range(d):
-                acc = None
-                for b in range(d):
-                    term = geo.ginv[a, b] * h[i, b]
-                    acc = term if acc is None else acc + term
-                out[a, i] = acc
-        return out
+        return _endomorphism(geo, self.half_deta(geo))
 
 
-def kc_residuals(structure: ContactMetricStructure, points, order=2):
-    """Max orthonormal-frame residual of phi^2 + Id - eta (x) xi per point."""
-    geo = PointGeometry(structure.chart, jet_point(structure.chart, points, order))
+def _endomorphism(geo: PointGeometry, form):
+    """E[a, i] = g^{ab} form[i, b], so that form(X, Y) = g(E X, Y)."""
+    d = geo.dim
+    out = np.empty((d, d), object)
+    for a in range(d):
+        for i in range(d):
+            acc = None
+            for b in range(d):
+                term = geo.ginv[a, b] * form[i, b]
+                acc = term if acc is None else acc + term
+            out[a, i] = acc
+    return out
+
+
+def _kc_defect(structure: ContactMetricStructure, points):
+    """phi^2 + Id - eta (x) xi as floats, with the geometry it was read at."""
+    geo = PointGeometry(structure.chart, jet_point(structure.chart, points, 2))
     d = structure.chart.dim
     phi = tvalues(structure.phi(geo))
     eta = tvalues(structure.eta(geo))
-    xi = tvalues(structure.xi.fn(geo.x))
+    xi = tvalues(structure.xi(geo.x))
     phi2 = np.einsum("bam,bmi->bai", phi, phi)
-    defect = phi2 + np.eye(d)[None, :, :] - np.einsum("ba,bi->bai", xi, eta)
+    return geo, phi2 + np.eye(d)[None, :, :] - np.einsum("ba,bi->bai", xi, eta)
+
+
+def kc_residuals(structure: ContactMetricStructure, points):
+    """Max orthonormal-frame residual of phi^2 + Id - eta (x) xi per point."""
+    geo, defect = _kc_defect(structure, points)
     return np.sqrt(np.abs(norm_squared(geo.g_values, geo.ginv_values, defect, "ul")))
 
 
-def kc_max_component_residuals(structure, points, order=2):
+def kc_max_component_residuals(structure, points):
     """Largest orthonormal-frame entry of the axiom defect.
 
     For the unnormalised flat-torus fixture this is exactly 3/4 at every
     point (the defect is 3/4 of the projector onto ker eta).
     """
-    geo = PointGeometry(structure.chart, jet_point(structure.chart, points, order))
-    d = structure.chart.dim
-    phi = tvalues(structure.phi(geo))
-    eta = tvalues(structure.eta(geo))
-    xi = tvalues(structure.xi.fn(geo.x))
-    phi2 = np.einsum("bam,bmi->bai", phi, phi)
-    defect = phi2 + np.eye(d)[None, :, :] - np.einsum("ba,bi->bai", xi, eta)
+    geo, defect = _kc_defect(structure, points)
     E = orthonormal_frame_values(geo.g_values)
     E_dual = np.einsum("bai,bij->baj", E, geo.g_values)
     on = np.einsum("baj,bji,bci->bac", E_dual, defect, E)
@@ -120,14 +122,14 @@ def kc_max_component_residuals(structure, points, order=2):
 def unit_length_residuals(structure, points):
     g = structure.chart.metric_values(points)
     geo = PointGeometry(structure.chart, jet_point(structure.chart, points, 0))
-    xi = tvalues(structure.xi.fn(geo.x))
+    xi = tvalues(structure.xi(geo.x))
     return np.abs(np.einsum("bi,bij,bj->b", xi, g, xi) - 1.0)
 
 
-def reeb_residuals(structure, points, order=2):
+def reeb_residuals(structure, points):
     """Derived Reeb conditions: eta(xi) = 1, phi(xi) = 0, xi i d(eta) = 0."""
-    geo = PointGeometry(structure.chart, jet_point(structure.chart, points, order))
-    xi = tvalues(structure.xi.fn(geo.x))
+    geo = PointGeometry(structure.chart, jet_point(structure.chart, points, 2))
+    xi = tvalues(structure.xi(geo.x))
     eta = tvalues(structure.eta(geo))
     phi = tvalues(structure.phi(geo))
     deta = 2.0 * tvalues(structure.half_deta(geo))
@@ -140,12 +142,10 @@ def reeb_residuals(structure, points, order=2):
             "reeb-interior": interior}
 
 
-def build_contact(chart: ManifoldChart, xi: TensorField, name: str = "xi",
-                  tol: float = 1e-6, probes: int = 50,
-                  rng: Optional[SplitMix64] = None) -> ContactMetricStructure:
-    """Validate the axioms at probe points; raise with a witness on failure."""
-    rng = rng or SplitMix64(515)
-    pts = chart.sample_points(probes, rng)
+def build_contact(chart: ManifoldChart, xi: Callable,
+                  name: str = "xi") -> ContactMetricStructure:
+    """Validate the axioms at 50 probe points; raise with a witness on failure."""
+    pts = chart.sample_points(50, SplitMix64(515))
     candidate = ContactMetricStructure(chart, xi, name)
     unit = unit_length_residuals(candidate, pts)
     if np.max(unit) > 1e-9:
@@ -154,7 +154,7 @@ def build_contact(chart: ManifoldChart, xi: TensorField, name: str = "xi",
             f"|xi| != 1 (residual {unit[k]:.3e})", residual=float(unit[k]),
             witness=tuple(pts[k]))
     kc = kc_residuals(candidate, pts)
-    if np.max(kc) > tol:
+    if np.max(kc) > 1e-6:
         k = int(np.argmax(kc))
         raise NotContactMetricError(
             f"phi^2 != -Id + eta (x) xi (residual {kc[k]:.3e} at {tuple(pts[k])})",
@@ -168,10 +168,10 @@ def build_contact(chart: ManifoldChart, xi: TensorField, name: str = "xi",
     return candidate
 
 
-def killing_residuals(structure, points, order=2):
+def killing_residuals(structure, points):
     """Max orthonormal component of L_xi g per point."""
-    geo = PointGeometry(structure.chart, jet_point(structure.chart, points, order))
-    nab_xi = tvalues(geo.covd(structure.xi.fn(geo.x), (1, 0)))  # (B, m, a)
+    geo = PointGeometry(structure.chart, jet_point(structure.chart, points, 2))
+    nab_xi = tvalues(geo.covd(structure.xi(geo.x), (1, 0)))  # (B, m, a)
     lowered = np.einsum("bma,bai->bmi", nab_xi, geo.g_values)
     lie = lowered + np.swapaxes(lowered, 1, 2)
     E = orthonormal_frame_values(geo.g_values)
@@ -179,19 +179,19 @@ def killing_residuals(structure, points, order=2):
     return np.max(np.abs(lie_on), axis=(1, 2))
 
 
-def ricci_reeb_deficit(structure, points, order=3):
+def ricci_reeb_deficit(structure, points):
     """Ric(xi, xi) - 2n, signed, per point."""
-    geo = PointGeometry(structure.chart, jet_point(structure.chart, points, order))
+    geo = PointGeometry(structure.chart, jet_point(structure.chart, points, 3))
     ric = tvalues(geo.ricci)
-    xi = tvalues(structure.xi.fn(geo.x))
+    xi = tvalues(structure.xi(geo.x))
     return np.einsum("bi,bij,bj->b", xi, ric, xi) - 2.0 * structure.n
 
 
-def sasaki_residuals(structure, points, order=3):
+def sasaki_residuals(structure, points):
     """Residual of nab_X(nab xi) = g(xi, .) X - g(X, .) xi, frame norm."""
-    geo = PointGeometry(structure.chart, jet_point(structure.chart, points, order))
+    geo = PointGeometry(structure.chart, jet_point(structure.chart, points, 3))
     d = structure.chart.dim
-    xi_j = structure.xi.fn(geo.x)
+    xi_j = structure.xi(geo.x)
     nab_xi = geo.covd(xi_j, (1, 0))           # [i, a] = (nab_i xi)^a
     endo = np.moveaxis(nab_xi, 0, 1)          # [a, i] endomorphism layout
     nab2 = tvalues(geo.covd(endo, (1, 1)))    # (B, m, a, i)
@@ -235,27 +235,7 @@ class ConeSymplecticData:
 
     def complex_structure(self, geo: PointGeometry):
         """J[a, i] = J^a_i with Omega(X, Y) = g_cone(J X, Y)."""
-        om = self.omega(geo)
-        d = self.cone.dim
-        out = np.empty((d, d), object)
-        for a in range(d):
-            for i in range(d):
-                acc = None
-                for b in range(d):
-                    term = geo.ginv[a, b] * om[i, b]
-                    acc = term if acc is None else acc + term
-                out[a, i] = acc
-        return out
-
-    @property
-    def omega_field(self) -> TensorField:
-        return TensorField((0, 2), lambda x: self.omega(
-            PointGeometry(self.cone.chart, x)))
-
-    @property
-    def j_field(self) -> TensorField:
-        return TensorField((1, 1), lambda x: self.complex_structure(
-            PointGeometry(self.cone.chart, x)))
+        return _endomorphism(geo, self.omega(geo))
 
 
 def _base_view(cone: ConeChart, geo: PointGeometry) -> PointGeometry:
@@ -263,31 +243,28 @@ def _base_view(cone: ConeChart, geo: PointGeometry) -> PointGeometry:
     return PointGeometry(cone.base, geo.x[:-1])
 
 
-def build_cone_symplectic(structure: ContactMetricStructure,
-                          r_range=R_RANGE, tol: float = 1e-8,
-                          probes: int = 25,
-                          rng: Optional[SplitMix64] = None) -> ConeSymplecticData:
-    cone = build_cone(structure.chart, r_range)
+def build_cone_symplectic(structure: ContactMetricStructure) -> ConeSymplecticData:
+    """Check J^2 = -Id at 25 probe points of the cone; raise on failure."""
+    cone = build_cone(structure.chart)
     data = ConeSymplecticData(cone, structure)
-    rng = rng or SplitMix64(1202)
-    pts = cone.chart.sample_points(probes, rng)
+    pts = cone.chart.sample_points(25, SplitMix64(1202))
     geo = PointGeometry(cone.chart, jet_point(cone.chart, pts, 2))
     j = tvalues(data.complex_structure(geo))
     d = cone.dim
     defect = np.einsum("bam,bmi->bai", j, j) + np.eye(d)[None, :, :]
     worst = np.max(np.sqrt(np.abs(norm_squared(
         geo.g_values, geo.ginv_values, defect, "ul"))))
-    if worst > tol:
+    if worst > 1e-8:
         raise IncompatibleStructureError(
             f"J^2 + Id residual {worst:.3e}; base structure violates the "
             "contact metric axiom")
     return data
 
 
-def symplectic_residuals(data: ConeSymplecticData, points, order=2):
+def symplectic_residuals(data: ConeSymplecticData, points):
     """dOmega = 0, |Omega|^2 = dim, J isometry; per-point residuals."""
     cone = data.cone
-    geo = PointGeometry(cone.chart, jet_point(cone.chart, points, order))
+    geo = PointGeometry(cone.chart, jet_point(cone.chart, points, 2))
     d = cone.dim
     om = data.omega(geo)
     dom = tvalues(exterior_derivative(om, d, 2))
@@ -306,9 +283,9 @@ def symplectic_residuals(data: ConeSymplecticData, points, order=2):
             "complex-square": sq_res, "complex-isometry": isometry}
 
 
-def parallel_omega_residuals(data: ConeSymplecticData, points, order=3):
+def parallel_omega_residuals(data: ConeSymplecticData, points):
     """|nab Omega| per cone point (vanishes iff the base is Sasakian)."""
-    geo = PointGeometry(data.cone.chart, jet_point(data.cone.chart, points, order))
+    geo = PointGeometry(data.cone.chart, jet_point(data.cone.chart, points, 3))
     nab = tvalues(geo.covd(data.omega(geo), (0, 2)))
     return np.sqrt(np.abs(norm_squared(
         geo.g_values, geo.ginv_values, nab, "lll")))

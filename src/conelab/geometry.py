@@ -1,7 +1,10 @@
 """Pointwise chart geometry: connection, curvature, first-order operators.
 
 Everything evaluates at a *jet point*: chart coordinates seeded as truncated
-Taylor variables.  Derived tensors are object arrays of jets, so downstream
+Taylor variables.  ``PointGeometry(chart, jet_point(chart, points, order))``
+is the one entry point; it caches the metric, its inverse, the connection
+and the curvature of a batch of points, and ``tvalues`` reads any of its
+tensors as floats.  Derived tensors are object arrays of jets, so downstream
 operators keep differentiating until the seeded order is exhausted.
 
 Conventions, frozen once and pinned by calibration fixtures in the tests:
@@ -20,12 +23,9 @@ derivative prepends one covariant index, i.e. (nab T)[m, ...] = nab_m T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Tuple
-
 import numpy as np
 
-from .chart import ManifoldChart, jet_point
+from .chart import ManifoldChart
 from .errors import DegenerateMetricError, JetOrderError
 from .jets import Jet
 
@@ -393,81 +393,3 @@ def orthonormal_frame_values(g_values) -> np.ndarray:
     E = np.linalg.inv(np.swapaxes(L, 1, 2))  # rows of L^{-T}: E[b][:, a]?
     return np.swapaxes(E, 1, 2)
 
-
-# -- public single-point API ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TensorValue:
-    """Pointwise multilinear array; contravariant indices lead."""
-
-    valence: Tuple[int, int]
-    components: np.ndarray
-    point: tuple
-
-
-@dataclass(frozen=True)
-class TensorField:
-    """Evaluable tensor field: fn maps jet coordinates to components."""
-
-    valence: Tuple[int, int]
-    fn: Callable
-
-    def __call__(self, x):
-        return self.fn(x)
-
-
-@dataclass(frozen=True)
-class OrthonormalFrame:
-    point: tuple
-    vectors: np.ndarray  # vectors[a] = coordinate components of e_a
-
-
-def geometry_at(chart: ManifoldChart, point, order: int) -> PointGeometry:
-    chart.check_spd(np.atleast_2d(np.asarray(point, float)))
-    return PointGeometry(chart, jet_point(chart, point, order))
-
-
-def christoffel(chart: ManifoldChart, point) -> TensorValue:
-    geo = geometry_at(chart, point, order=1)
-    return TensorValue((1, 2), tvalues(geo.gamma)[0], tuple(point))
-
-
-def riemann(chart: ManifoldChart, point, lowered: bool = False) -> TensorValue:
-    geo = geometry_at(chart, point, order=2)
-    if lowered:
-        return TensorValue((0, 4), tvalues(geo.riemann_low)[0], tuple(point))
-    return TensorValue((1, 3), tvalues(geo.riemann)[0], tuple(point))
-
-
-def ricci(chart: ManifoldChart, point) -> TensorValue:
-    geo = geometry_at(chart, point, order=2)
-    return TensorValue((0, 2), tvalues(geo.ricci)[0], tuple(point))
-
-
-def scalar_curvature(chart: ManifoldChart, point) -> float:
-    geo = geometry_at(chart, point, order=2)
-    return float(geo.scalar_curvature.value[0])
-
-
-def covariant_derivative(chart: ManifoldChart, fld: TensorField, point,
-                         order: int = 1) -> TensorValue:
-    geo = geometry_at(chart, point, order=order + 1)
-    comps = geo.covd(fld(geo.x), fld.valence)
-    p, q = fld.valence
-    return TensorValue((p, q + 1), tvalues(comps)[0], tuple(point))
-
-
-def codifferential_oneform(chart: ManifoldChart, sigma: TensorField, point) -> float:
-    geo = geometry_at(chart, point, order=2)
-    return float(geo.codifferential_oneform(sigma(geo.x)).value[0])
-
-
-def laplacian_scalar(chart: ManifoldChart, f: TensorField, point) -> float:
-    geo = geometry_at(chart, point, order=3)
-    return float(geo.laplacian_scalar(f(geo.x)).value[0])
-
-
-def orthonormal_frame(chart: ManifoldChart, point) -> OrthonormalFrame:
-    g = chart.check_spd(np.atleast_2d(np.asarray(point, float)))
-    return OrthonormalFrame(tuple(point), orthonormal_frame_values(g)[0])

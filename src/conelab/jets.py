@@ -130,24 +130,23 @@ def _as_batch(value):
 class Jet:
     """One truncated Taylor expansion, batched over sample points."""
 
-    __slots__ = ("dim", "order", "c", "base_point")
+    __slots__ = ("dim", "order", "c")
     __array_ufunc__ = None  # keep numpy from broadcasting over us
     __array_priority__ = 1000
 
-    def __init__(self, dim, order, c, base_point=None):
+    def __init__(self, dim, order, c):
         self.dim = dim
         self.order = order
         self.c = c  # C-contiguous, shape (sizes[order], batch)
-        self.base_point = base_point
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def constant(cls, value, dim, order, base_point=None):
+    def constant(cls, value, dim, order):
         v = _as_batch(value)
         c = np.zeros((_table(dim, order).sizes[order], v.shape[0]))
         c[0] = v
-        return cls(dim, order, c, base_point)
+        return cls(dim, order, c)
 
     @classmethod
     def variables(cls, point, order):
@@ -163,7 +162,7 @@ class Jet:
                 unit = [0] * dim
                 unit[i] = 1
                 c[tab.pos[tuple(unit)]] = 1.0
-            out.append(cls(dim, order, c, base_point=pt))
+            out.append(cls(dim, order, c))
         return out
 
     # -- queries -----------------------------------------------------------
@@ -201,7 +200,7 @@ class Jet:
         if order >= self.order:
             return self
         tab = _table(self.dim, self.order)
-        return Jet(self.dim, order, self.c[: tab.sizes[order]], self.base_point)
+        return Jet(self.dim, order, self.c[: tab.sizes[order]])
 
     def partial(self, i):
         """Jet of df/dx_i; available order drops by one."""
@@ -209,7 +208,7 @@ class Jet:
             raise JetOrderError("derivative requested beyond jet order")
         src, fac = _table(self.dim, self.order).diff[i]
         n = _table(self.dim, self.order).sizes[self.order - 1]
-        return Jet(self.dim, self.order - 1, self.c[src[:n]] * fac[:n, None], self.base_point)
+        return Jet(self.dim, self.order - 1, self.c[src[:n]] * fac[:n, None])
 
     # -- ring operations ---------------------------------------------------
 
@@ -227,15 +226,14 @@ class Jet:
             c = np.empty((len(self.c), max(self.batch, len(v))))
             c[:] = self.c
             c[0] += v
-            return Jet(self.dim, self.order, c, self.base_point)
+            return Jet(self.dim, self.order, c)
         order = min(self.order, o.order)
-        bp = self.base_point if self.base_point is not None else o.base_point
-        return Jet(self.dim, order, self.truncate(order).c + o.truncate(order).c, bp)
+        return Jet(self.dim, order, self.truncate(order).c + o.truncate(order).c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.dim, self.order, -self.c, self.base_point)
+        return Jet(self.dim, self.order, -self.c)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -np.asarray(other, float))
@@ -247,15 +245,14 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             w = _as_batch(other)
-            return Jet(self.dim, self.order, self.c * w[None, :], self.base_point)
+            return Jet(self.dim, self.order, self.c * w[None, :])
         order = min(self.order, o.order)
         a = self.truncate(order).c
         b = o.truncate(order).c
         batch = max(a.shape[1], b.shape[1])
-        bp = self.base_point if self.base_point is not None else o.base_point
         # A fresh array: _compose writes into the product's value row.
         if (_is_zero(a) or _is_zero(b)) and np.isfinite(a).all() and np.isfinite(b).all():
-            return Jet(self.dim, order, np.zeros((len(a), batch)), bp)
+            return Jet(self.dim, order, np.zeros((len(a), batch)))
         blocks, scatter = _table(self.dim, order).mul
         prod = np.empty((scatter.shape[1], batch))
         start = 0
@@ -264,7 +261,7 @@ class Jet:
             np.multiply(a[lo:hi, None], b[None, :m],
                         out=prod[start:stop].reshape(hi - lo, m, batch))
             start = stop
-        return Jet(self.dim, order, scatter @ prod, bp)
+        return Jet(self.dim, order, scatter @ prod)
 
     __rmul__ = __mul__
 
@@ -281,7 +278,7 @@ class Jet:
         if isinstance(exponent, (int, np.integer)):
             if exponent < 0:
                 return (self ** (-exponent)).reciprocal()
-            out = Jet.constant(np.ones(self.batch), self.dim, self.order, self.base_point)
+            out = Jet.constant(np.ones(self.batch), self.dim, self.order)
             for _ in range(exponent):
                 out = out * self
             return out
@@ -291,9 +288,9 @@ class Jet:
 
     def _compose(self, series):
         """Horner evaluation of sum_k series[k] * (self - value)^k."""
-        u = Jet(self.dim, self.order, self.c.copy(), self.base_point)
+        u = Jet(self.dim, self.order, self.c.copy())
         u.c[0] = 0.0
-        out = Jet.constant(series[-1], self.dim, self.order, self.base_point)
+        out = Jet.constant(series[-1], self.dim, self.order)
         for k in range(len(series) - 2, -1, -1):
             out = out * u
             out.c[0] += series[k]

@@ -41,14 +41,14 @@ class StructurePair:
         return self.first.cone
 
 
-def _j_values(pair: StructurePair, points, order=1):
-    geo = PointGeometry(pair.cone.chart, jet_point(pair.cone.chart, points, order))
+def _j_values(pair: StructurePair, points):
+    geo = PointGeometry(pair.cone.chart, jet_point(pair.cone.chart, points, 1))
     j1 = tvalues(pair.first.complex_structure(geo))
     j2 = tvalues(pair.second.complex_structure(geo))
     return geo, j1, j2
 
 
-def anticommutator_lambda(pair: StructurePair, points, tol: float = 1e-6):
+def anticommutator_lambda(pair: StructurePair, points):
     """(lambda, max |Q - lambda Id|, pointwise lambda variation)."""
     geo, j1, j2 = _j_values(pair, points)
     d = pair.cone.dim
@@ -59,7 +59,7 @@ def anticommutator_lambda(pair: StructurePair, points, tol: float = 1e-6):
     defect = q - lam * np.eye(d)[None, :, :]
     residual = np.sqrt(np.abs(norm_squared(
         geo.g_values, geo.ginv_values, defect, "ul")))
-    if abs(lam) > 2.0 + tol:
+    if abs(lam) > 2.0 + 1e-6:
         raise ImpossiblePairError(
             f"anticommutator trace gives lambda = {lam:.6f}, beyond the "
             "Cauchy-Schwarz bound 2")
@@ -77,10 +77,9 @@ def commutator_square_residuals(pair: StructurePair, points, lam: float):
         geo.g_values, geo.ginv_values, defect, "ul")))
 
 
-def third_structure_values(pair: StructurePair, points, lam: float,
-                           tol: float = 1e-6):
+def third_structure_values(pair: StructurePair, points, lam: float):
     """I = A / sqrt(4 - lambda^2) at the given points, with its J, J'."""
-    if abs(lam) >= 2.0 - tol:
+    if abs(lam) >= 2.0 - 1e-6:
         raise DegeneratePairError(
             f"lambda = {lam:.6f}; structures coincide up to sign, no third "
             "structure exists")
@@ -110,13 +109,12 @@ def third_structure_residuals(pair: StructurePair, points, lam: float):
     }
 
 
-def parallel_third_structure_residuals(pair: StructurePair, points, lam: float,
-                                       order: int = 3):
+def parallel_third_structure_residuals(pair: StructurePair, points, lam: float):
     """|nab I| per point, I evaluated as a jet field through both J's."""
     if abs(lam) >= 2.0 - 1e-6:
         raise DegeneratePairError("no third structure for |lambda| near 2")
     cone = pair.cone
-    geo = PointGeometry(cone.chart, jet_point(cone.chart, points, order))
+    geo = PointGeometry(cone.chart, jet_point(cone.chart, points, 3))
     j1 = pair.first.complex_structure(geo)
     j2 = pair.second.complex_structure(geo)
     d = cone.dim

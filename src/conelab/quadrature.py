@@ -70,7 +70,7 @@ def chart_volume(chart: ManifoldChart, counts) -> float:
 def integrate_level_set(cone, r: float, fn, counts) -> float:
     """Integral over M_r = {r = const} of the cone.
 
-    fn(base_points, r) -> (N,) values of the integrand at the slice; the
+    fn(base_pts, r) -> (N,) values of the integrand at the slice; the
     measure is r^{2n+1} times the base volume form.
     """
     base = cone.base

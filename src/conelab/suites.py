@@ -108,6 +108,10 @@ def _validate(entry, config):
             raise SuiteUsageError(
                 f"jet order must be at least 1, got {config.jet_order}")
     if config.grid is not None:
+        if config.suite != "integration":
+            raise SuiteUsageError(
+                f"suite {config.suite!r} has no quadrature; a grid applies "
+                "only to integration")
         _grid_counts(entry, config.grid)
     for r in config.radii:
         _check_radius(r)
@@ -121,7 +125,8 @@ def _grid_counts(entry, grid):
     dim = entry.chart.dim
     counts = (grid,) * dim if np.ndim(grid) == 0 else tuple(grid)
     if len(counts) != dim or not all(
-            isinstance(c, (int, np.integer)) and c >= 1 for c in counts):
+            isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 1
+            for c in counts):
         raise SuiteUsageError(
             f"grid needs {dim} node counts of at least 1, got {grid!r}")
     return counts
@@ -510,17 +515,16 @@ def _cached_wdata(entry, points, r, order, mode):
     return _WDATA_CACHE[key]
 
 
-def integrand_values(entry, name, points, r, order=None):
+def integrand_values(entry, name, points, r):
     """Evaluate a named level-set integrand at batched base points."""
     if name == "one":
         return np.ones(len(points))
     if name in _DIVERGENCE:
-        data = _cached_wdata(entry, points, r, order or 4, "divergence")
+        data = _cached_wdata(entry, points, r, 4, "divergence")
         vals = data.div_term if name == "divergence-pairing" else data.ric_div_term
         return vals * r**4
     if name in _NONNEGATIVE:
-        data = _cached_wdata(entry, points, r,
-                             order or weitzenboeck.DEFAULT_ORDER, "full")
+        data = _cached_wdata(entry, points, r, weitzenboeck.DEFAULT_ORDER, "full")
         if name == "f-term":
             n = entry.n
             return 2.0 * (2 * n - 2) * (data.s_star * r**2) / r**4

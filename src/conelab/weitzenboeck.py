@@ -74,7 +74,7 @@ class WeitzenboeckPointData:
     ginv_values: np.ndarray     # (B, d, d)
 
 
-def weitzenboeck_data(sympl: ConeSymplecticData, base_points, radii,
+def weitzenboeck_data(sympl: ConeSymplecticData, base_pts, radii,
                       order: int = DEFAULT_ORDER,
                       mode: str = "full") -> WeitzenboeckPointData:
     """Evaluate the terms of the balance identity at batched cone samples.
@@ -85,7 +85,7 @@ def weitzenboeck_data(sympl: ConeSymplecticData, base_points, radii,
     """
     cone = sympl.cone
     d = cone.dim
-    pts = np.column_stack([np.atleast_2d(base_points), np.asarray(radii, float)])
+    pts = np.column_stack([np.atleast_2d(base_pts), np.asarray(radii, float)])
     geo = PointGeometry(cone.chart, jet_point(cone.chart, pts, order))
     full = mode == "full"
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from conelab import catalog
+from conelab.chart import jet_point
+from conelab.geometry import PointGeometry
 from conelab.rng import SplitMix64
 
 
@@ -28,6 +30,11 @@ def s5():
 @pytest.fixture()
 def rng():
     return SplitMix64(0xC0FFEE)
+
+
+def geometry(chart, points, order):
+    """PointGeometry at one point or a batch of points, seeded at order."""
+    return PointGeometry(chart, jet_point(chart, points, order))
 
 
 def sample(chart, n, seed=0xC0FFEE):

@@ -67,7 +67,7 @@ def test_s3_reeb_fields_match_quaternion_oracle(s3):
                        ("k", oracles.QUAT_K)):
         xi = s3.structure(name).xi
         geo = PointGeometry(s3.chart, jet_point(s3.chart, pts, 0))
-        vals = tvalues(xi.fn(geo.x))
+        vals = tvalues(xi(geo.x))
         for b, p in enumerate(pts):
             want = oracles.s3_reeb_ambient(p, quat)
             assert np.max(np.abs(vals[b] - want)) < 1e-12, name
@@ -82,10 +82,9 @@ def test_killing_classification(blair, s3, s5):
     wit = CT.killing_residuals(st, np.array([[np.pi / 2, 1.0, 2.0]]))
     assert wit[0] >= 0.4
     # sign flip leaves the Lie derivative residual unchanged
-    from conelab.geometry import TensorField
+    def neg(x):
+        return np.array([v * (-1.0) for v in blair.structure().xi(x)], dtype=object)
 
-    neg = TensorField((1, 0), lambda x: np.array(
-        [v * (-1.0) for v in blair.structure().xi.fn(x)], dtype=object))
     st_neg = CT.ContactMetricStructure(blair.chart, neg, "minus")
     assert np.max(np.abs(CT.killing_residuals(st_neg, pts3) - res)) < 1e-12
     for entry in (s3, s5):
@@ -145,7 +144,7 @@ def test_j_radial_action_and_ambient_match(s3):
     cpts = np.column_stack([pts, radii])
     geo = PointGeometry(sympl.cone.chart, jet_point(sympl.cone.chart, cpts, 1))
     j = tvalues(sympl.complex_structure(geo))
-    xi = tvalues(st.xi.fn(geo.x[:-1]))
+    xi = tvalues(st.xi(geo.x[:-1]))
     for b in range(len(cpts)):
         want_r = np.concatenate([xi[b] / radii[b], [0.0]])
         assert np.max(np.abs(j[b, :, 3] - want_r)) < 1e-12

@@ -11,11 +11,21 @@ import pytest
 from conelab import geometry as G
 from conelab.chart import ManifoldChart
 from conelab.errors import JetOrderError
-from conelab.geometry import TensorField, geometry_at, tvalues
+from conelab.geometry import tvalues
 from conelab.jets import Jet, sin
 
-from .conftest import sample
+from .conftest import geometry, sample
 from . import oracles
+
+
+def codifferential(chart, sigma_fn, point):
+    geo = geometry(chart, point, 2)
+    return float(geo.codifferential_oneform(sigma_fn(geo.x)).value[0])
+
+
+def laplacian(chart, f_fn, point):
+    geo = geometry(chart, point, 3)
+    return float(geo.laplacian_scalar(f_fn(geo.x)).value[0])
 
 
 @pytest.fixture(scope="module")
@@ -29,17 +39,17 @@ def sphere2():
 
 
 def test_christoffel_sphere_pinned(sphere2):
-    gam = G.christoffel(sphere2, [np.pi / 4, 1.0])
+    gam = tvalues(geometry(sphere2, [np.pi / 4, 1.0], 1).gamma)[0]
     # Gamma^theta_{phi phi} = -sin(theta) cos(theta) = -1/2 at pi/4
-    assert gam.components[0, 1, 1] == pytest.approx(-0.5, abs=1e-12)
-    assert gam.components[1, 0, 1] == pytest.approx(1.0, abs=1e-12)
+    assert gam[0, 1, 1] == pytest.approx(-0.5, abs=1e-12)
+    assert gam[1, 0, 1] == pytest.approx(1.0, abs=1e-12)
     # symmetry in the lower pair
-    assert np.allclose(gam.components, np.swapaxes(gam.components, 1, 2))
+    assert np.allclose(gam, np.swapaxes(gam, 1, 2))
 
 
 def test_christoffel_flat_zero(blair):
-    gam = G.christoffel(blair.chart, [1.0, 2.0, 3.0])
-    assert np.max(np.abs(gam.components)) == 0.0
+    gam = tvalues(geometry(blair.chart, [1.0, 2.0, 3.0], 1).gamma)
+    assert np.max(np.abs(gam)) == 0.0
 
 
 def test_jet_metric_derivatives_match_finite_differences(
@@ -49,7 +59,7 @@ def test_jet_metric_derivatives_match_finite_differences(
         chart = entry.chart
         pts, _, _ = sample(chart, 3, seed=11)
         for p in pts:
-            geo = geometry_at(chart, p, order=2)
+            geo = geometry(chart, p, 2)
             for i in range(chart.dim):
                 jet_d1 = tvalues(G.dpartial(geo.g, i))[0]
                 fd = oracles.metric_d1(chart, p, i)
@@ -63,7 +73,7 @@ def test_christoffel_matches_finite_differences(s3, s5):
     for entry in (s3, s5):
         pts, _, _ = sample(entry.chart, 3, seed=21)
         for p in pts:
-            got = G.christoffel(entry.chart, p).components
+            got = tvalues(geometry(entry.chart, p, 1).gamma)[0]
             want = oracles.christoffel_fd(entry.chart, p)
             assert np.max(np.abs(got - want)) < 1e-6
 
@@ -72,7 +82,7 @@ def test_riemann_sphere_closed_form(s3):
     """Unit S^3: R(X,Y)Z = g(Y,Z)X - g(X,Z)Y."""
     pts, _, _ = sample(s3.chart, 4, seed=31)
     for p in pts:
-        rl = G.riemann(s3.chart, p, lowered=True).components
+        rl = tvalues(geometry(s3.chart, p, 2).riemann_low)[0]
         g = s3.chart.metric_values([p])[0]
         want = np.einsum("jk,il->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g)
         assert np.max(np.abs(rl - want)) < 1e-9
@@ -81,7 +91,7 @@ def test_riemann_sphere_closed_form(s3):
 def test_riemann_matches_finite_differences(s3):
     pts, _, _ = sample(s3.chart, 2, seed=41)
     for p in pts:
-        got = G.riemann(s3.chart, p).components
+        got = tvalues(geometry(s3.chart, p, 2).riemann)[0]
         want = oracles.riemann_fd(s3.chart, p)
         assert np.max(np.abs(got - want)) < 2e-6
 
@@ -89,7 +99,7 @@ def test_riemann_matches_finite_differences(s3):
 def test_riemann_symmetries_and_bianchi(s3, s5):
     for entry in (s3, s5):
         pts, _, _ = sample(entry.chart, 200, seed=51)
-        geo = geometry_at(entry.chart, pts, order=2)
+        geo = geometry(entry.chart, pts, 2)
         rl = tvalues(geo.riemann_low)
         assert np.max(np.abs(rl + np.swapaxes(rl, 1, 2))) < 1e-8
         assert np.max(np.abs(rl + np.swapaxes(rl, 3, 4))) < 1e-8
@@ -100,21 +110,23 @@ def test_riemann_symmetries_and_bianchi(s3, s5):
 
 def test_ricci_einstein_constants(blair, s3, s5):
     # flat torus: Ric = 0; S^{2n+1}: Ric = 2n g, s = 2n(2n+1)
-    assert np.max(np.abs(G.ricci(blair.chart, [0.3, 1.0, 2.0]).components)) == 0.0
+    flat = geometry(blair.chart, [0.3, 1.0, 2.0], 2)
+    assert np.max(np.abs(tvalues(flat.ricci))) == 0.0
     for entry, const in ((s3, 2.0), (s5, 4.0)):
         pts, _, _ = sample(entry.chart, 3, seed=61)
         for p in pts:
-            ric = G.ricci(entry.chart, p).components
+            geo = geometry(entry.chart, p, 2)
+            ric = tvalues(geo.ricci)[0]
             g = entry.chart.metric_values([p])[0]
             assert np.max(np.abs(ric - const * g)) < 1e-9
-            s = G.scalar_curvature(entry.chart, p)
+            s = float(geo.scalar_curvature.value[0])
             assert s == pytest.approx(entry.known_values["scalar_curvature"],
                                       abs=1e-9)
 
 
 def test_ricci_matches_finite_differences(s5):
     p = [0.7, 0.8, 1.0, 2.0, 3.0]
-    got = G.ricci(s5.chart, p).components
+    got = tvalues(geometry(s5.chart, p, 2).ricci)[0]
     want = oracles.ricci_fd(s5.chart, p)
     assert np.max(np.abs(got - want)) < 2e-6
 
@@ -123,7 +135,7 @@ def test_metric_compatibility_all_charts(blair, unnormalized, s3, s5):
     """nab g = 0 at random points on every catalog chart."""
     for entry in (blair, unnormalized, s3, s5):
         pts, _, _ = sample(entry.chart, 200, seed=71)
-        geo = geometry_at(entry.chart, pts, order=2)
+        geo = geometry(entry.chart, pts, 2)
         nab_g = tvalues(geo.covd(geo.g, (0, 2)))
         assert np.max(np.abs(nab_g)) < 1e-9
 
@@ -146,7 +158,7 @@ def test_covariant_derivative_leibniz(s3):
         return np.array([f * s for s in sig], dtype=object)
 
     pts, _, _ = sample(s3.chart, 5, seed=81)
-    geo = geometry_at(s3.chart, pts, order=2)
+    geo = geometry(s3.chart, pts, 2)
     lhs = tvalues(geo.covd(fsigma_fn(geo.x), (0, 1)))
     f = f_fn(geo.x)
     df = np.stack([f.partial(m).value for m in range(3)], axis=1)
@@ -165,8 +177,7 @@ def test_codifferential_pinned_and_exact_forms(unnormalized, s3):
         out[2] = x[0] * 0.0
         return out
 
-    val = G.codifferential_oneform(
-        unnormalized.chart, TensorField((0, 1), sig_fn), [1.2, 0.1, 0.2])
+    val = codifferential(unnormalized.chart, sig_fn, [1.2, 0.1, 0.2])
     assert val == pytest.approx(-np.cos(1.2), abs=1e-12)
     # dt is parallel there
     def dt_fn(x):
@@ -176,8 +187,7 @@ def test_codifferential_pinned_and_exact_forms(unnormalized, s3):
         out[2] = x[0] * 0.0
         return out
 
-    assert G.codifferential_oneform(
-        unnormalized.chart, TensorField((0, 1), dt_fn), [1.2, 0.1, 0.2]) == 0.0
+    assert codifferential(unnormalized.chart, dt_fn, [1.2, 0.1, 0.2]) == 0.0
 
     # delta(df) = Delta(f) on the sphere
     def f_field(x):
@@ -192,45 +202,44 @@ def test_codifferential_pinned_and_exact_forms(unnormalized, s3):
 
     pts, _, _ = sample(s3.chart, 5, seed=91)
     for p in pts:
-        lap = G.laplacian_scalar(s3.chart, TensorField((0, 0), f_field), p)
-        cod = G.codifferential_oneform(s3.chart, TensorField((0, 1), df_fn), p)
+        lap = laplacian(s3.chart, f_field, p)
+        cod = codifferential(s3.chart, df_fn, p)
         assert lap == pytest.approx(cod, rel=1e-8, abs=1e-10)
 
 
 def test_laplacian_pinned(unnormalized, blair):
-    f = TensorField((0, 0), lambda x: sin(x[0]))
+    f = lambda x: sin(x[0])
     # standard torus: Delta sin t = sin t; quarter metric scales by 4
-    assert G.laplacian_scalar(unnormalized.chart, f, [0.7, 0, 0]) == pytest.approx(
+    assert laplacian(unnormalized.chart, f, [0.7, 0, 0]) == pytest.approx(
         np.sin(0.7), abs=1e-12)
-    assert G.laplacian_scalar(blair.chart, f, [0.7, 0, 0]) == pytest.approx(
+    assert laplacian(blair.chart, f, [0.7, 0, 0]) == pytest.approx(
         4 * np.sin(0.7), abs=1e-12)
-    const = TensorField((0, 0), lambda x: x[0] * 0.0 + 3.0)
-    assert G.laplacian_scalar(blair.chart, const, [0.7, 0, 0]) == 0.0
+    const = lambda x: x[0] * 0.0 + 3.0
+    assert laplacian(blair.chart, const, [0.7, 0, 0]) == 0.0
 
 
 def test_laplacian_sign_convention(unnormalized):
     """Geometer's convention: Delta of a coordinate square is negative."""
-    f = TensorField((0, 0), lambda x: x[0] * x[0])
-    assert G.laplacian_scalar(unnormalized.chart, f, [0.3, 0, 0]) == pytest.approx(
+    f = lambda x: x[0] * x[0]
+    assert laplacian(unnormalized.chart, f, [0.3, 0, 0]) == pytest.approx(
         -2.0, abs=1e-12)
 
 
 def test_orthonormal_frame(blair, s3):
-    fr = G.orthonormal_frame(blair.chart, [1.0, 2.0, 3.0])
-    assert np.allclose(fr.vectors, 2 * np.eye(3))
+    E = G.orthonormal_frame_values(blair.chart.metric_values([[1.0, 2.0, 3.0]]))
+    assert np.allclose(E[0], 2 * np.eye(3))
     pts, _, _ = sample(s3.chart, 5, seed=101)
-    for p in pts:
-        fr = G.orthonormal_frame(s3.chart, p)
-        g = s3.chart.metric_values([p])[0]
-        gram = fr.vectors @ g @ fr.vectors.T
-        assert np.max(np.abs(gram - np.eye(3))) < 1e-12
-        assert np.linalg.det(fr.vectors) > 0
+    g = s3.chart.metric_values(pts)
+    E = G.orthonormal_frame_values(g)
+    gram = np.einsum("zai,zij,zbj->zab", E, g, E)
+    assert np.max(np.abs(gram - np.eye(3))) < 1e-12
+    assert np.all(np.linalg.det(E) > 0)
 
 
 def test_frame_independence_of_invariants(s5):
     """|Ric|^2 via coordinate contractions vs a rotated orthonormal frame."""
     pts, _, _ = sample(s5.chart, 3, seed=111)
-    geo = geometry_at(s5.chart, pts, order=2)
+    geo = geometry(s5.chart, pts, 2)
     ric = tvalues(geo.ricci)
     coord = G.norm_squared(geo.g_values, geo.ginv_values, ric, "ll")
     E = G.orthonormal_frame_values(geo.g_values)
@@ -246,23 +255,8 @@ def test_frame_independence_of_invariants(s5):
     assert np.max(np.abs(coord - summed)) < 1e-9
 
 
-def test_tensor_value_shape(s3):
-    ric = G.ricci(s3.chart, [0.7, 1.0, 2.0])
-    assert ric.valence == (0, 2)
-    assert ric.components.shape == (3, 3)
-    assert ric.point == (0.7, 1.0, 2.0)
-
-
-def test_covariant_derivative_public_api(blair):
-    """nab of the metric field via the public wrapper is zero."""
-    fld = TensorField((0, 2), lambda x: blair.chart.metric_components(x))
-    out = G.covariant_derivative(blair.chart, fld, [1.0, 2.0, 3.0])
-    assert out.valence == (0, 3)
-    assert np.max(np.abs(out.components)) == 0.0
-
-
 def test_insufficient_jet_order_raises(s3):
-    geo = geometry_at(s3.chart, [0.7, 1.0, 2.0], order=1)
+    geo = geometry(s3.chart, [0.7, 1.0, 2.0], 1)
     with pytest.raises(JetOrderError):
         geo.riemann  # needs two metric derivative levels
     f = Jet.variables([[0.7, 1.0, 2.0]], 1)[0].sin()

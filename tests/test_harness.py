@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,7 +161,12 @@ def test_cli_list_and_exit_codes(tmp_path, capsys):
         assert cli_main(["verify", suite, "--manifold", "t3-blair", *flags]) == 2
     assert cli_main(["integrate", "one", "--manifold", "t3-blair",
                      "--radius", "1.0", "--grid", "0"]) == 2
-    # a jet order only reaches the suites that read it
+    # a grid only reaches the integration suite, and a jet order only the
+    # suites that read it
+    for suite in SUITES:
+        if suite != "integration":
+            assert cli_main(["verify", suite, "--manifold", "t3-blair",
+                             "--grid", "4"]) == 2, suite
     jet_order = ["--manifold", "s3-round", "--jet-order", "4", "--samples", "3"]
     assert cli_main(["verify", "kcontact", *jet_order]) == 2
     assert cli_main(["verify", "cone-identities", *jet_order]) == 0
@@ -168,11 +174,26 @@ def test_cli_list_and_exit_codes(tmp_path, capsys):
     order_config.write_text(json.dumps({"jet_order": 4, "samples": 3}))
     assert cli_main(["verify", "kcontact", "--manifold", "s3-round",
                      "--config", str(order_config)]) == 2
-    bad_config = tmp_path / "bad.json"
-    bad_config.write_text(json.dumps({"samples": "many"}))
-    for config in (bad_config, tmp_path / "missing.json"):
-        assert cli_main(["verify", "kcontact", "--manifold", "t3-blair",
-                         "--config", str(config)]) == 2
+    # config files that are not an object, or hold a field of the wrong type,
+    # are usage errors too, never a traceback or a silent coercion
+    bad_contents = ([1, 2], {"samples": "many"}, {"samples": 2.7},
+                    {"samples": True}, {"radii": "12"}, {"jet_order": 2.5},
+                    {"tolerances": {"killing-field": "abc"}},
+                    {"tolerances": {"killing-field": None}},
+                    {"grid": 4}, {"manifold": ["t3-blair"]})
+    for k, content in enumerate(bad_contents):
+        bad_config = tmp_path / f"bad{k}.json"
+        bad_config.write_text(json.dumps(content))
+        for suite in ("kcontact", "cone-identities"):
+            assert cli_main(["verify", suite, "--manifold", "t3-blair", "--samples",
+                             "2", "--config", str(bad_config)]) == 2, content
+    for k, grid in enumerate((2.5, "8", [8, True, 8])):
+        grid_config = tmp_path / f"grid{k}.json"
+        grid_config.write_text(json.dumps({"grid": grid}))
+        assert cli_main(["verify", "integration", "--manifold", "t3-blair",
+                         "--config", str(grid_config)]) == 2, grid
+    assert cli_main(["verify", "kcontact", "--manifold", "t3-blair",
+                     "--config", str(tmp_path / "missing.json")]) == 2
 
 
 def test_cli_integrate(capsys):
@@ -204,6 +225,35 @@ def test_cli_entry_point_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "killing-field" in proc.stdout
+
+
+def test_benchmark_tracer_installs():
+    """Every name the benchmark's tracer pins still exists, and a suite runs
+    traced; the tracer patches modules in place, hence the subprocess."""
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]\n"
+        "import conelab, tracing\n"
+        "from conelab.report import SuiteConfig\n"
+        "tracer = tracing.install(conelab)\n"
+        "conelab.suites.run_suite(SuiteConfig('s3-round', 'kcontact', samples=2))\n"
+        "assert tracer.totals['jets.mul.calls'] > 0\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("suite, manifold, orders", [
+    ("cone-identities", "s3-round", (2, 3, 4)),
+    ("weitzenboeck", "t3-blair", (4, 5, 6)),
+])
+def test_reports_do_not_depend_on_jet_order(suite, manifold, orders):
+    """Exact jets: once the seeded order covers every derivative a suite
+    takes, a higher order yields the very same reports."""
+    reports = [run_suite(_config(manifold, suite, samples=3, jet_order=k))
+               for k in orders]
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_integrand_cache_is_keyed_by_content(monkeypatch):

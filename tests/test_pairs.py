@@ -8,9 +8,9 @@ from conelab import cone as C
 from conelab import contact as CT
 from conelab import pairs as P
 from conelab.errors import DegeneratePairError
-from conelab.geometry import TensorField
+from conelab.geometry import tvalues
 
-from .conftest import sample
+from .conftest import geometry, sample
 
 
 @pytest.fixture(scope="module")
@@ -52,11 +52,10 @@ def test_lambda_boundary_cases(sphere_pair, cone_samples):
     first = pair.first
 
     def neg_xi(x):
-        return np.array([v * (-1.0) for v in first.structure.xi.fn(x)],
+        return np.array([v * (-1.0) for v in first.structure.xi(x)],
                         dtype=object)
 
-    st_neg = CT.ContactMetricStructure(
-        first.structure.chart, TensorField((1, 0), neg_xi), "neg")
+    st_neg = CT.ContactMetricStructure(first.structure.chart, neg_xi, "neg")
     flipped = P.StructurePair(first, CT.ConeSymplecticData(cn, st_neg))
     lam2, _, _ = P.anticommutator_lambda(flipped, cpts)
     assert lam2 == pytest.approx(2.0, abs=1e-12)
@@ -73,8 +72,6 @@ def test_third_structure_is_k(sphere_pair, cone_samples):
     pair, sympl_k, _ = sphere_pair
     cpts, _ = cone_samples
     geo, _, _, i_ = P.third_structure_values(pair, cpts, 0.0)
-    from conelab.geometry import tvalues
-
     jk = tvalues(sympl_k.complex_structure(geo))
     assert np.max(np.abs(i_ - jk)) < 1e-10
 
@@ -142,11 +139,9 @@ def test_mismatched_cones_rejected(s3, blair):
 def test_theorem_dichotomy_disjunction(sphere_pair, cone_samples, s3):
     """Either branch may hold; the flat sphere cone realises both, and the
     tests assert only the disjunction: quaternionic triple or flat cone."""
-    from conelab import geometry as G
-
     pair, _, cn = sphere_pair
     cpts, _ = cone_samples
-    flat = np.max(np.abs(G.riemann(cn.chart, cpts[0]).components)) < 1e-9
+    flat = np.max(np.abs(tvalues(geometry(cn.chart, cpts[0], 2).riemann))) < 1e-9
     res = P.quaternion_relation_residuals(pair, cpts, 0.0)
     triple = max(np.max(v) for v in res.values()) < 1e-8
     assert triple or flat
