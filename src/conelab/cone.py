@@ -226,21 +226,15 @@ def form_relation_residuals(cone, base_pts, radii, dir_x, base_form_fn,
 
     # wedge term, assembled at value level
     xvec = _const_base(bgeo, dir_x)
-    contracted = interior_product(xvec, base_omega, degree)
-    if degree == 1:
-        # X i omega is a function f, and dr ^ f is just f dr
-        interior_vals = tvalues(np.array([contracted], dtype=object))[:, 0]
-        rhs[:, d] -= interior_vals / r
-    else:
-        int_vals = tvalues(contracted)  # (B,) + (d,)*(degree-1)
-        for idx in np.ndindex(*(d + 1,) * degree):
-            positions = [m for m, i in enumerate(idx) if i == d]
-            if len(positions) != 1:
-                continue
-            m = positions[0]
-            rest = tuple(i for i in idx if i != d)
-            sign = (-1.0) ** m
-            rhs[(slice(None),) + idx] -= sign * int_vals[(slice(None),) + rest] / r
+    int_vals = tvalues(interior_product(xvec, base_omega))  # (B,) + (d,)*(degree-1)
+    for idx in np.ndindex(*(d + 1,) * degree):
+        positions = [m for m, i in enumerate(idx) if i == d]
+        if len(positions) != 1:
+            continue
+        m = positions[0]
+        rest = tuple(i for i in idx if i != d)
+        sign = (-1.0) ** m
+        rhs[(slice(None),) + idx] -= sign * int_vals[(slice(None),) + rest] / r
     res_dir = _form_norm(geo, lhs - rhs, degree)
     return {"form-radial": res_radial, "form-directional": res_dir}
 

@@ -53,22 +53,10 @@ class ContactMetricStructure:
 
     def eta(self, geo: PointGeometry):
         """eta = g(xi, .) as an object 1-form."""
-        x = self.xi(geo.x)
-        d = self.chart.dim
-        out = np.empty(d, object)
-        for i in range(d):
-            acc = None
-            for a in range(d):
-                term = geo.g[i, a] * x[a]
-                acc = term if acc is None else acc + term
-            out[i] = acc
-        return out
+        return np.tensordot(geo.g, self.xi(geo.x), axes=([1], [0]))
 
     def half_deta(self, geo: PointGeometry):
-        eta = self.eta(geo)
-        deta = exterior_derivative(eta, self.chart.dim, 1)
-        return np.array([[0.5 * deta[i, j] for j in range(self.chart.dim)]
-                         for i in range(self.chart.dim)], dtype=object)
+        return 0.5 * exterior_derivative(self.eta(geo))
 
     def phi(self, geo: PointGeometry):
         """phi[a, i] = phi^a_i solved from g(phi X, Y) = (d eta)(X, Y)/2."""
@@ -77,16 +65,7 @@ class ContactMetricStructure:
 
 def _endomorphism(geo: PointGeometry, form):
     """E[a, i] = g^{ab} form[i, b], so that form(X, Y) = g(E X, Y)."""
-    d = geo.dim
-    out = np.empty((d, d), object)
-    for a in range(d):
-        for i in range(d):
-            acc = None
-            for b in range(d):
-                term = geo.ginv[a, b] * form[i, b]
-                acc = term if acc is None else acc + term
-            out[a, i] = acc
-    return out
+    return np.tensordot(geo.ginv, form, axes=([1], [1]))
 
 
 def _kc_defect(structure: ContactMetricStructure, points):
@@ -267,7 +246,7 @@ def symplectic_residuals(data: ConeSymplecticData, points):
     geo = PointGeometry(cone.chart, jet_point(cone.chart, points, 2))
     d = cone.dim
     om = data.omega(geo)
-    dom = tvalues(exterior_derivative(om, d, 2))
+    dom = tvalues(exterior_derivative(om))
     closed = np.sqrt(np.abs(norm_squared(
         geo.g_values, geo.ginv_values, dom, "lll")))
     om_v = tvalues(om)

@@ -6,6 +6,9 @@ is the one entry point; it caches the metric, its inverse, the connection
 and the curvature of a batch of points, and ``tvalues`` reads any of its
 tensors as floats.  Derived tensors are object arrays of jets, so downstream
 operators keep differentiating until the seeded order is exhausted.
+Contractions of jet tensors go through ``np.tensordot``, which folds the
+products in C order of the contracted indices, left operand on the left;
+byte-identical reports rely on that order.
 
 Conventions, frozen once and pinned by calibration fixtures in the tests:
 
@@ -62,9 +65,8 @@ def tvalues(T) -> np.ndarray:
     return out
 
 
-def contract(A, B, axes):
-    """tensordot that tolerates object arrays of jets."""
-    return np.tensordot(A, B, axes=axes)
+# no caller; named only by perfbench/tracing.py's SPAN_GROUPS
+contract = np.tensordot
 
 
 # -- metric inverse ----------------------------------------------------------
@@ -94,11 +96,11 @@ def inverse_metric(g) -> np.ndarray:
         for j in range(d):
             entry = g[i, j].truncate(order) - g0[:, i, j]
             n_part[i, j] = entry
-    step = -contract(inv0, n_part, axes=([1], [0]))  # -G0^{-1} N
+    step = -np.tensordot(inv0, n_part, axes=([1], [0]))  # -G0^{-1} N
     out = inv0
     term = inv0
     for _ in range(order):
-        term = contract(step, term, axes=([1], [0]))
+        term = np.tensordot(step, term, axes=([1], [0]))
         out = out + term
     return out
 
@@ -198,40 +200,19 @@ class PointGeometry:
         """Rlow[i, j, k, l] = g(R(d_i, d_j) d_k, d_l)."""
 
         def build():
-            return contract(
+            return np.tensordot(
                 np.moveaxis(self.riemann, 0, -1), self.g, axes=([3], [0]))
 
         return self._get("riemann_low", build)
 
     @property
     def ricci(self):
-        def build():
-            d = self.dim
-            r = self.riemann
-            out = np.empty((d, d), object)
-            for j in range(d):
-                for k in range(d):
-                    acc = None
-                    for a in range(d):
-                        acc = r[a, a, j, k] if acc is None else acc + r[a, a, j, k]
-                    out[j, k] = acc
-            return out
-
-        return self._get("ricci", build)
+        return self._get("ricci", lambda: np.trace(self.riemann, axis1=0, axis2=1))
 
     @property
     def scalar_curvature(self):
-        def build():
-            ginv = self.ginv
-            ric = self.ricci
-            acc = None
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    term = ginv[j, k] * ric[j, k]
-                    acc = term if acc is None else acc + term
-            return acc
-
-        return self._get("scal", build)
+        return self._get(
+            "scal", lambda: np.tensordot(self.ginv, self.ricci, 2)[()])
 
     # -- first-order operators -------------------------------------------
 
@@ -261,13 +242,7 @@ class PointGeometry:
     def codifferential_oneform(self, sigma):
         """delta(sigma) = -g^{mi} (nab sigma)_{mi} for an object 1-form."""
         nab = self.covd(sigma, (0, 1))
-        ginv = self.ginv
-        acc = None
-        for m in range(self.dim):
-            for i in range(self.dim):
-                term = ginv[m, i] * nab[m, i]
-                acc = term if acc is None else acc + term
-        return -acc
+        return -np.tensordot(self.ginv, nab, 2)[()]
 
     def laplacian_scalar(self, f):
         """Geometer's Laplacian of a scalar jet: -trace_g Hess f."""
@@ -276,48 +251,45 @@ class PointGeometry:
         d = self.dim
         df = [f.partial(i) for i in range(d)]
         gam = self.gamma
-        ginv = self.ginv
-        acc = None
+        hess = np.empty((d, d), object)
         for i in range(d):
             for j in range(d):
-                hess = df[i].partial(j)
+                h = df[i].partial(j)
                 for k in range(d):
-                    hess = hess - gam[k, i, j] * df[k]
-                term = ginv[i, j] * hess
-                acc = term if acc is None else acc + term
-        return -acc
+                    h = h - gam[k, i, j] * df[k]
+                hess[i, j] = h
+        return -np.tensordot(self.ginv, hess, 2)[()]
 
     # -- index gymnastics ---------------------------------------------------
 
     def raise_index(self, T, axis):
         """g^{ab} contraction on a covariant slot of an object tensor."""
         moved = np.moveaxis(T, axis, -1)
-        return np.moveaxis(contract(moved, self.ginv, axes=([-1], [0])), -1, axis)
+        return np.moveaxis(
+            np.tensordot(moved, self.ginv, axes=([-1], [0])), -1, axis)
 
     def lower_index(self, T, axis):
         moved = np.moveaxis(T, axis, -1)
-        return np.moveaxis(contract(moved, self.g, axes=([-1], [0])), -1, axis)
+        return np.moveaxis(
+            np.tensordot(moved, self.g, axes=([-1], [0])), -1, axis)
 
 
 # -- differential forms -------------------------------------------------------
 
 
-def exterior_derivative(T, dim, degree):
-    """d of a p-form given as a full antisymmetric object array.
+def exterior_derivative(T):
+    """d of a p-form, p >= 1, given as a full antisymmetric object array.
 
     (d w)_{i0..ip} = sum_m (-1)^m  d_{i_m} w_{i0..^i_m..ip}
     """
+    dim, degree = T.shape[0], T.ndim
     shape = (dim,) * (degree + 1)
-    DW = grad(T, dim) if degree else None
+    DW = grad(T, dim)
     out = np.empty(shape, object)
     for idx in np.ndindex(*shape):
         acc = None
         for m in range(degree + 1):
-            rest = idx[:m] + idx[m + 1:]
-            if degree == 0:
-                term = T[()].partial(idx[m]) if isinstance(T, np.ndarray) else T.partial(idx[m])
-            else:
-                term = DW[(idx[m],) + rest]
+            term = DW[(idx[m],) + idx[:m] + idx[m + 1:]]
             if m % 2:
                 term = -term
             acc = term if acc is None else acc + term
@@ -345,15 +317,9 @@ def wedge_oneform(sigma, tau, degree):
     return out
 
 
-def interior_product(vec, T, rank):
+def interior_product(vec, T):
     """Contraction of a vector with the first slot of a covariant tensor."""
-    if rank == 1:
-        acc = None
-        for a in range(vec.shape[0]):
-            term = vec[a] * T[a]
-            acc = term if acc is None else acc + term
-        return acc
-    return contract(vec, T, axes=([0], [0]))
+    return np.tensordot(vec, T, axes=([0], [0]))
 
 
 # -- value-level norms ---------------------------------------------------------

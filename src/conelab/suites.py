@@ -51,7 +51,7 @@ def run_suite(config: SuiteConfig):
             f"unknown suite {config.suite!r}; known: {', '.join(SUITES)}")
     entry = _entry(config.manifold)
     _validate(entry, config)
-    table = {
+    rows = {
         "cone-identities": _cone_identities,
         "contact-axioms": _contact_axioms,
         "kcontact": _kcontact,
@@ -59,8 +59,15 @@ def run_suite(config: SuiteConfig):
         "weitzenboeck": _weitzenboeck,
         "hypersasaki": _hypersasaki,
         "integration": _integration,
-    }[config.suite]
-    return _run_rows(config, table(entry, config))
+    }[config.suite](entry, config)
+    emitted = {identity for checks, _ in rows for identity, _, _ in checks}
+    unknown = sorted(set(config.tolerances) - emitted)
+    if unknown:
+        raise SuiteUsageError(
+            f"suite {config.suite!r} on {config.manifold!r} emits no identity "
+            f"{', '.join(map(repr, unknown))}; a tolerance applies only to "
+            "an identity the suite reports")
+    return _run_rows(config, rows)
 
 
 def _run_rows(config, rows):
@@ -94,6 +101,8 @@ def _entry(manifold):
 
 # the only suites whose kernels take their jet order from the config
 _JET_ORDER_SUITES = ("cone-identities", "weitzenboeck")
+# how many of the config's radii each suite reads; the others read none
+_RADII_READ = {"weitzenboeck": 2, "integration": 1}
 
 
 def _validate(entry, config):
@@ -115,6 +124,10 @@ def _validate(entry, config):
         _grid_counts(entry, config.grid)
     for r in config.radii:
         _check_radius(r)
+    used = _RADII_READ.get(config.suite, 0)
+    if len(config.radii) > used and tuple(config.radii) != SuiteConfig.radii:
+        raise SuiteUsageError(
+            f"suite {config.suite!r} reads {used} radii, got {len(config.radii)}")
     for identity, tol in config.tolerances.items():
         if not np.isfinite(tol):
             raise SuiteUsageError(f"tolerance for {identity!r} is not finite")

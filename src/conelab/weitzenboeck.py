@@ -98,15 +98,7 @@ def weitzenboeck_data(sympl: ConeSymplecticData, base_pts, radii,
     if full:
         nab2_om = geo.covd(nab_om, (0, 3))   # [n, m, i, j]
         # rough Laplacian nab*nab Omega = -g^{nm} nab^2_{n m} Omega
-        rough = np.empty((d, d), object)
-        for i in range(d):
-            for j in range(d):
-                acc = None
-                for n_ in range(d):
-                    for m in range(d):
-                        term = geo.ginv[n_, m] * nab2_om[n_, m, i, j]
-                        acc = term if acc is None else acc + term
-                rough[i, j] = -acc
+        rough = -np.tensordot(geo.ginv, nab2_om, 2)
 
     # rho* = (sign/2) Rlow[i,j,k,l] J^l_m g^{km}; the orthonormal frame sum
     # sum_a E_a (x) J E_a collapses to g^{km} J^l_m, so no frame is needed
@@ -128,33 +120,16 @@ def weitzenboeck_data(sympl: ConeSymplecticData, base_pts, radii,
             val = (0.5 * RHO_STAR_SIGN) * acc
             rho_star[i, j] = val
             rho_star[j, i] = -val
-    zero = None
-    for i in range(d):
-        if zero is None:
-            zero = rho_star[0, 1] - rho_star[0, 1]
-        rho_star[i, i] = zero
+    np.fill_diagonal(rho_star, rho_star[0, 1] - rho_star[0, 1])
 
     # s* = <rho*, Omega> full sum (jet level, for the outer Laplacian)
-    om_sharp = _raise2(geo, om)
-    s_star = None
-    for a in range(d):
-        for b in range(d):
-            term = rho_star[a, b] * om_sharp[a, b]
-            s_star = term if s_star is None else s_star + term
+    s_star = np.tensordot(rho_star, _raise2(geo, om), 2)[()]
 
     s = geo.scalar_curvature
     lap = geo.laplacian_scalar(s_star - s) if full else None
 
     # pairing 1-form sigma_i = <rho*, nab_i Omega>
-    rho_star_sharp = _raise2(geo, rho_star)
-    sigma = np.empty(d, object)
-    for i in range(d):
-        acc = None
-        for a in range(d):
-            for b in range(d):
-                term = rho_star_sharp[a, b] * nab_om[i, a, b]
-                acc = term if acc is None else acc + term
-        sigma[i] = acc
+    sigma = np.tensordot(_raise2(geo, rho_star), nab_om, axes=([0, 1], [1, 2]))
     div_term = geo.codifferential_oneform(sigma)
 
     # Ricci split: Ric' = (Ric + Ric(J., J.))/2, Ric'' the rest,
@@ -169,46 +144,14 @@ def weitzenboeck_data(sympl: ConeSymplecticData, base_pts, radii,
                     term = jj[a, i] * (ric[a, b] * jj[b, j])
                     acc = term if acc is None else acc + term
             ric_j[i, j] = acc
-    ric_inv = np.empty((d, d), object)
-    ric_anti = np.empty((d, d), object)
-    for i in range(d):
-        for j in range(d):
-            ric_inv[i, j] = 0.5 * (ric[i, j] + ric_j[i, j])
-            ric_anti[i, j] = 0.5 * (ric[i, j] - ric_j[i, j])
-    rho = np.empty((d, d), object)
-    for i in range(d):
-        for j in range(d):
-            acc = None
-            for a in range(d):
-                term = jj[a, i] * ric_inv[a, j]
-                acc = term if acc is None else acc + term
-            rho[i, j] = acc
+    ric_inv = 0.5 * (ric + ric_j)
+    ric_anti = 0.5 * (ric - ric_j)
+    rho = np.tensordot(jj, ric_inv, axes=([0], [0]))
 
     # delta(J delta_nab (J Ric''))
-    j_ric = np.empty((d, d), object)
-    for i in range(d):
-        for j in range(d):
-            acc = None
-            for a in range(d):
-                term = jj[a, i] * ric_anti[a, j]
-                acc = term if acc is None else acc + term
-            j_ric[i, j] = acc
-    nab_jric = geo.covd(j_ric, (0, 2))
-    delta_nab = np.empty(d, object)
-    for i in range(d):
-        acc = None
-        for m in range(d):
-            for n_ in range(d):
-                term = geo.ginv[m, n_] * nab_jric[m, n_, i]
-                acc = term if acc is None else acc + term
-        delta_nab[i] = -acc
-    j_sigma = np.empty(d, object)
-    for i in range(d):
-        acc = None
-        for a in range(d):
-            term = jj[a, i] * delta_nab[a]
-            acc = term if acc is None else acc + term
-        j_sigma[i] = -acc
+    nab_jric = geo.covd(np.tensordot(jj, ric_anti, axes=([0], [0])), (0, 2))
+    delta_nab = -np.tensordot(geo.ginv, nab_jric, 2)
+    j_sigma = -np.tensordot(jj, delta_nab, axes=([0], [0]))
     ric_div_term = geo.codifferential_oneform(j_sigma)
 
     # value-level pieces

@@ -38,6 +38,42 @@ def sphere2():
         "s2")
 
 
+def test_tensordot_folds_jet_products_like_the_loop():
+    """np.tensordot on object arrays forms each entry as a0*b0, then
+    acc + a_k*b_k in C order of the contracted indices, left operand on the
+    left: the hand-written fold the geometry contractions replace, bit for
+    bit.  Some entries are identically zero, so the zero-factor product runs."""
+    rng = np.random.default_rng(7)
+    d = 3
+
+    def jets(shape):
+        out = np.empty(shape, object)
+        for idx in np.ndindex(*shape):
+            out[idx] = Jet.constant(np.zeros(4), 2, 3)
+            if rng.random() < 0.7:
+                out[idx].c[:] = rng.standard_normal(out[idx].c.shape)
+        return out
+
+    def fold(pairs):
+        acc = None
+        for a, b in pairs:
+            term = a * b
+            acc = term if acc is None else acc + term
+        return acc.c
+
+    A, B = jets((d, d)), jets((d, d, d))
+    one = np.tensordot(A, B, axes=([1], [0]))
+    for i, k, l in np.ndindex(d, d, d):
+        want = fold((A[i, j], B[j, k, l]) for j in range(d))
+        assert np.array_equal(one[i, k, l].c, want)
+    two = np.tensordot(A, B, 2)
+    for k in range(d):
+        pairs = [(A[i, j], B[i, j, k]) for i, j in np.ndindex(d, d)]
+        assert np.array_equal(two[k].c, fold(pairs))
+        # the check can tell fold orders apart: reversed, the bits move
+        assert not np.array_equal(two[k].c, fold(pairs[::-1]))
+
+
 def test_christoffel_sphere_pinned(sphere2):
     gam = tvalues(geometry(sphere2, [np.pi / 4, 1.0], 1).gamma)[0]
     # Gamma^theta_{phi phi} = -sin(theta) cos(theta) = -1/2 at pi/4

@@ -174,6 +174,20 @@ def test_cli_list_and_exit_codes(tmp_path, capsys):
     order_config.write_text(json.dumps({"jet_order": 4, "samples": 3}))
     assert cli_main(["verify", "kcontact", "--manifold", "s3-round",
                      "--config", str(order_config)]) == 2
+    # so are radii beyond those a suite reads, unless they are the default,
+    # and a tolerance for an identity the suite does not emit
+    small = ["--manifold", "s3-round", "--samples", "3"]
+    assert cli_main(["verify", "kcontact", *small, "--radius", "3.0"]) == 2
+    assert cli_main(["verify", "weitzenboeck", *small, "--radius", "1",
+                     "--radius", "2", "--radius", "3"]) == 2
+    assert cli_main(["verify", "kcontact", *small, "--radius", "1",
+                     "--radius", "2"]) == 0
+    assert cli_main(["verify", "kcontact", *small,
+                     "--tol", "no-such-identity=1"]) == 2
+    tol_config = tmp_path / "tol.json"
+    tol_config.write_text(json.dumps({"tolerances": {"no-such-identity": 1}}))
+    assert cli_main(["verify", "kcontact", *small,
+                     "--config", str(tol_config)]) == 2
     # config files that are not an object, or hold a field of the wrong type,
     # are usage errors too, never a traceback or a silent coercion
     bad_contents = ([1, 2], {"samples": "many"}, {"samples": 2.7},
