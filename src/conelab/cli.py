@@ -7,11 +7,11 @@
     conelab integrate <integrand> --manifold <id> --radius r [--grid N]
 
 Exit codes: 0 all identities pass, 1 failures or engine errors, 2 usage
-(including sample counts, jet orders, grid counts or radii out of range, a
-grid or jet order given to a suite that does not read it, and a config file
-that is not a JSON object or has a field of the wrong JSON type).  The reason
-for each `error` verdict goes to stderr.  A JSON config file may supply the
-same fields as the flags; flags win.
+(including sample counts, grid counts or radii out of range, a jet order
+below the suite's minimum, a grid or jet order given to a suite that does
+not read it, and a config file that is not a JSON object or has a field of
+the wrong JSON type).  The reason for each `error` verdict goes to stderr.
+A JSON config file may supply the same fields as the flags; flags win.
 """
 
 from __future__ import annotations

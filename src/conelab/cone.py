@@ -8,7 +8,9 @@ dimension 2n+2 with coordinates (base coords, r) and block metric
 so all of the generic tensor machinery applies unchanged.  Identity checks
 are deliberately dual-path: left-hand sides come from the cone chart's own
 connection and curvature, right-hand sides from base-chart quantities plus
-explicit powers of r.  Nothing is tautological.
+explicit powers of r.  Nothing is tautological.  Every residual kernel takes
+the cone geometry and the base geometry its caller built, so one suite
+evaluates all of its identities on one pair of jet points.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ from .chart import ManifoldChart, jet_point
 from .errors import ConeCompletionError
 from .geometry import (
     PointGeometry,
+    constant_tensor,
+    frame_norm,
     interior_product,
-    norm_squared,
     tvalues,
 )
-from .jets import Jet
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ def build_cone(base: ManifoldChart, r_range=R_RANGE) -> ConeChart:
         for i in range(d):
             for j in range(d):
                 out[i][j] = r2 * gb[i][j]
-        out[d][d] = _one_like(x[d])
+        out[d][d] = 1.0
         return out
 
     chart = ManifoldChart(
@@ -78,36 +80,18 @@ def build_cone(base: ManifoldChart, r_range=R_RANGE) -> ConeChart:
     return ConeChart(base, (lo, hi), chart)
 
 
-def _one_like(v):
-    if isinstance(v, Jet):
-        return Jet.constant(np.ones(v.batch), v.dim, v.order)
-    return np.ones_like(np.asarray(v, float))
-
-
-def _zero(like: Jet) -> Jet:
-    return Jet.constant(np.zeros(like.batch), like.dim, like.order)
-
-
 # -- lifts --------------------------------------------------------------------
 
 
 def lift_form(base_fn: Callable, degree: int) -> Callable:
-    """Pull a base p-form back along the projection (zero dr components)."""
+    """Pull a base p-form (p >= 1) back along the projection, dr parts zero."""
 
     def fn(x):
         comps = base_fn(x[:-1])
-        d = len(x)
-        if degree == 0:
-            return comps
-        out = np.empty((d,) * degree, object)
-        zero = None
-        for idx in np.ndindex(*out.shape):
-            if all(i < d - 1 for i in idx):
-                out[idx] = comps[idx]
-            else:
-                if zero is None:
-                    zero = _zero(comps[(0,) * degree])
-                out[idx] = zero
+        like = comps.flat[0]
+        out = constant_tensor(np.zeros((like.batch,) + (len(x),) * degree),
+                              like.dim, like.order)
+        out[(slice(0, len(x) - 1),) * degree] = comps
         return out
 
     return fn
@@ -115,9 +99,11 @@ def lift_form(base_fn: Callable, degree: int) -> Callable:
 
 # -- residual kernels ---------------------------------------------------------
 #
-# All functions below take batched base points / radii / constant direction
-# components and return per-sample residual magnitudes measured with the
-# frozen orthonormal-frame tensor norm on the cone.
+# The kernels below take the cone geometry `geo` and the base geometry `bgeo`
+# at the same batched base points (cone_geometry and base_geometry), plus
+# constant direction components, and return per-sample residual magnitudes
+# measured with frame_norm on the cone.  The radii are the values of the
+# cone's radial coordinate jet.
 
 
 def cone_geometry(cone: ConeChart, base_pts, radii, order):
@@ -129,30 +115,11 @@ def base_geometry(cone: ConeChart, base_pts, order):
     return PointGeometry(cone.base, jet_point(cone.base, base_pts, order))
 
 
-def _vec_norm(geo, comps_vals):
-    return np.sqrt(np.abs(norm_squared(geo.g_values, geo.ginv_values, comps_vals, "u")))
-
-
-def _form_norm(geo, comps_vals, rank):
-    return np.sqrt(np.abs(norm_squared(geo.g_values, geo.ginv_values, comps_vals, "l" * rank)))
-
-
-def connection_relation_residuals(cone, base_pts, radii, dir_x, dir_y,
-                                  geo=None, bgeo=None):
+def connection_relation_residuals(geo, bgeo, dir_x, dir_y):
     """Residuals of the five vector-level cone connection identities."""
-    geo = geo or cone_geometry(cone, base_pts, radii, 3)
-    bgeo = bgeo or base_geometry(cone, base_pts, 3)
-    d = cone.base.dim
-    B = geo.g_values.shape[0]
-    r = np.asarray(radii, float)
-
-    def const_cone_field(vals):
-        def fn(x):
-            out = np.empty(d + 1, object)
-            for i in range(d + 1):
-                out[i] = Jet.constant(vals[:, i], x[0].dim, x[0].order)
-            return out
-        return fn
+    d = bgeo.dim
+    r = geo.x[-1].value
+    B = len(r)
 
     X = np.column_stack([dir_x, np.zeros(B)])
     Y = np.column_stack([dir_y, np.zeros(B)])
@@ -161,21 +128,21 @@ def connection_relation_residuals(cone, base_pts, radii, dir_x, dir_y,
 
     nab = {}
     for name, vals in (("x", X), ("y", Y), ("dr", dr_vec)):
-        fld = const_cone_field(vals)
-        nab[name] = tvalues(geo.covd(fld(geo.x), (1, 0)))  # (B, m, a)
+        fld = constant_tensor(vals, geo.dim, geo.order)
+        nab[name] = tvalues(geo.covd(fld, (1, 0)))  # (B, m, a)
 
     res = {}
     # nab_dr dr = 0
-    res["radial-geodesic"] = _vec_norm(geo, nab["dr"][:, d, :])
+    res["radial-geodesic"] = frame_norm(geo, nab["dr"][:, d, :], "u")
     # nab_X dr = X / r
     lhs = np.einsum("bm,bma->ba", X, nab["dr"])
-    res["radial-lift"] = _vec_norm(geo, lhs - X / r[:, None])
+    res["radial-lift"] = frame_norm(geo, lhs - X / r[:, None], "u")
     # nab_dr X = X / r
-    res["radial-transport"] = _vec_norm(geo, nab["x"][:, d, :] - X / r[:, None])
+    res["radial-transport"] = frame_norm(geo, nab["x"][:, d, :] - X / r[:, None], "u")
     # torsion symmetry of the two mixed derivatives
-    res["mixed-symmetry"] = _vec_norm(geo, nab["x"][:, d, :] - lhs)
+    res["mixed-symmetry"] = frame_norm(geo, nab["x"][:, d, :] - lhs, "u")
     # nab_X Y = nab^base_X Y - r g(X,Y) dr
-    base_nab = tvalues(bgeo.covd(_const_base(bgeo, dir_y), (1, 0)))
+    base_nab = tvalues(bgeo.covd(constant_tensor(dir_y, bgeo.dim, bgeo.order), (1, 0)))
     nab_xy_base = np.einsum("bm,bma->ba", dir_x, base_nab)
     gb = bgeo.g_values
     gxy = np.einsum("bi,bij,bj->b", dir_x, gb, dir_y)
@@ -183,26 +150,16 @@ def connection_relation_residuals(cone, base_pts, radii, dir_x, dir_y,
     rhs[:, :d] = nab_xy_base
     rhs[:, d] = -r * gxy
     lhs = np.einsum("bm,bma->ba", X, nab["y"])
-    res["horizontal-connection"] = _vec_norm(geo, lhs - rhs)
+    res["horizontal-connection"] = frame_norm(geo, lhs - rhs, "u")
     return res
 
 
-def _const_base(bgeo, comps):
-    B, d = comps.shape
-    out = np.empty(d, object)
-    for i in range(d):
-        out[i] = Jet.constant(comps[:, i], bgeo.x[0].dim, bgeo.x[0].order)
-    return out
-
-
-def form_relation_residuals(cone, base_pts, radii, dir_x, base_form_fn,
-                            degree, geo=None, bgeo=None):
+def form_relation_residuals(geo, bgeo, dir_x, base_form_fn, degree):
     """Residuals of both lifted-form derivative identities for one p-form."""
-    geo = geo or cone_geometry(cone, base_pts, radii, 3)
-    bgeo = bgeo or base_geometry(cone, base_pts, 3)
-    d = cone.base.dim
-    B = geo.g_values.shape[0]
-    r = np.asarray(radii, float)
+    d = bgeo.dim
+    r = geo.x[-1].value
+    B = len(r)
+    sig = "l" * degree
 
     lifted = lift_form(base_form_fn, degree)
     omega_cone = lifted(geo.x)
@@ -212,7 +169,7 @@ def form_relation_residuals(cone, base_pts, radii, dir_x, base_form_fn,
     # nab_dr omega = -(p/r) omega
     lhs_r = nab[:, d]
     scale = (degree / r).reshape((B,) + (1,) * degree)
-    res_radial = _form_norm(geo, lhs_r + scale * omega_vals, degree)
+    res_radial = frame_norm(geo, lhs_r + scale * omega_vals, sig)
 
     # nab_X omega = nab^base_X omega - (1/r) dr wedge (X i omega)
     base_omega = base_form_fn(bgeo.x)
@@ -225,7 +182,7 @@ def form_relation_residuals(cone, base_pts, radii, dir_x, base_form_fn,
     rhs[core] = base_part
 
     # wedge term, assembled at value level
-    xvec = _const_base(bgeo, dir_x)
+    xvec = constant_tensor(dir_x, bgeo.dim, bgeo.order)
     int_vals = tvalues(interior_product(xvec, base_omega))  # (B,) + (d,)*(degree-1)
     for idx in np.ndindex(*(d + 1,) * degree):
         positions = [m for m, i in enumerate(idx) if i == d]
@@ -235,43 +192,33 @@ def form_relation_residuals(cone, base_pts, radii, dir_x, base_form_fn,
         rest = tuple(i for i in idx if i != d)
         sign = (-1.0) ** m
         rhs[(slice(None),) + idx] -= sign * int_vals[(slice(None),) + rest] / r
-    res_dir = _form_norm(geo, lhs - rhs, degree)
+    res_dir = frame_norm(geo, lhs - rhs, sig)
     return {"form-radial": res_radial, "form-directional": res_dir}
 
 
-def dr_relation_residuals(cone, base_pts, radii, dir_x, geo=None, bgeo=None):
+def dr_relation_residuals(geo, bgeo, dir_x):
     """Residuals of both identities for the exact radial 1-form dr."""
-    geo = geo or cone_geometry(cone, base_pts, radii, 2)
-    bgeo = bgeo or base_geometry(cone, base_pts, 1)
-    d = cone.base.dim
-    B = geo.g_values.shape[0]
-    r = np.asarray(radii, float)
+    d = bgeo.dim
+    r = geo.x[-1].value
+    B = len(r)
 
-    def dr_fn(x):
-        out = np.empty(d + 1, object)
-        for i in range(d + 1):
-            out[i] = Jet.constant(np.full(B, 1.0 if i == d else 0.0),
-                                  x[0].dim, x[0].order)
-        return out
-
-    nab = tvalues(geo.covd(dr_fn(geo.x), (0, 1)))  # (B, m, i)
-    res_radial = _form_norm(geo, nab[:, d, :], 1)
+    dr_vals = np.zeros((B, d + 1))
+    dr_vals[:, d] = 1.0
+    nab = tvalues(geo.covd(constant_tensor(dr_vals, geo.dim, geo.order), (0, 1)))
+    res_radial = frame_norm(geo, nab[:, d, :], "l")
 
     lhs = np.einsum("bm,bmi->bi", np.column_stack([dir_x, np.zeros(B)]), nab)
     flat = np.einsum("bij,bj->bi", bgeo.g_values, dir_x)  # base X-flat
     rhs = np.zeros((B, d + 1))
     rhs[:, :d] = r[:, None] * flat
-    res_dir = _form_norm(geo, lhs - rhs, 1)
+    res_dir = frame_norm(geo, lhs - rhs, "l")
     return {"dr-radial": res_radial, "dr-hessian": res_dir}
 
 
-def curvature_relation_residuals(cone, base_pts, radii, dir_x, dir_y, dir_z,
-                                 geo=None, bgeo=None):
+def curvature_relation_residuals(geo, bgeo, dir_x, dir_y, dir_z):
     """Residuals of both curvature identities relating cone and base."""
-    geo = geo or cone_geometry(cone, base_pts, radii, 3)
-    bgeo = bgeo or base_geometry(cone, base_pts, 3)
-    d = cone.base.dim
-    B = geo.g_values.shape[0]
+    d = bgeo.dim
+    B = len(dir_x)
 
     R_cone = tvalues(geo.riemann)  # (B, a, i, j, k)
     X = np.column_stack([dir_x, np.zeros(B)])
@@ -280,7 +227,7 @@ def curvature_relation_residuals(cone, base_pts, radii, dir_x, dir_y, dir_z,
 
     # R(dr, X) Y = 0
     radial = np.einsum("bajk,bj,bk->ba", R_cone[:, :, d, :, :], X, Y)
-    res_radial = _vec_norm(geo, radial)
+    res_radial = frame_norm(geo, radial, "u")
 
     lhs = np.einsum("baijk,bi,bj,bk->ba", R_cone, X, Y, Z)
     R_base = tvalues(bgeo.riemann)
@@ -290,17 +237,13 @@ def curvature_relation_residuals(cone, base_pts, radii, dir_x, dir_y, dir_z,
     gyz = np.einsum("bi,bij,bj->b", dir_y, gb, dir_z)
     rhs = np.zeros((B, d + 1))
     rhs[:, :d] = base_part + gxz[:, None] * dir_y - gyz[:, None] * dir_x
-    res_dir = _vec_norm(geo, lhs - rhs)
+    res_dir = frame_norm(geo, lhs - rhs, "u")
     return {"curvature-radial": res_radial, "curvature-horizontal": res_dir}
 
 
-def lemma_codifferential_residuals(cone, base_pts, radii, sigma_base_fn, k,
-                                   geo=None, bgeo=None):
+def lemma_codifferential_residuals(geo, bgeo, sigma_base_fn, k):
     """|delta_cone(r^k sigma) - r^{k-2} delta_base(sigma)| per sample."""
-    geo = geo or cone_geometry(cone, base_pts, radii, 2)
-    bgeo = bgeo or base_geometry(cone, base_pts, 2)
-    d = cone.base.dim
-    r = np.asarray(radii, float)
+    r = geo.x[-1].value
 
     def weighted(x):
         sig = lift_form(sigma_base_fn, 1)(x)
@@ -312,13 +255,10 @@ def lemma_codifferential_residuals(cone, base_pts, radii, sigma_base_fn, k,
     return np.abs(lhs - rhs), lhs, rhs
 
 
-def lemma_laplacian_residuals(cone, base_pts, radii, f_base_fn, k,
-                              geo=None, bgeo=None):
+def lemma_laplacian_residuals(geo, bgeo, f_base_fn, k):
     """|Lap_cone(r^k f) - r^{k-2}(Lap_base f - k(2n+k) f)| per sample."""
-    geo = geo or cone_geometry(cone, base_pts, radii, 3)
-    bgeo = bgeo or base_geometry(cone, base_pts, 3)
-    n = cone.n
-    r = np.asarray(radii, float)
+    n = (bgeo.dim - 1) // 2
+    r = geo.x[-1].value
 
     f_cone = f_base_fn(geo.x[:-1]) * (geo.x[-1] ** k)
     lhs = geo.laplacian_scalar(f_cone).value

@@ -29,6 +29,7 @@ from .errors import IncompatibleStructureError, NotContactMetricError
 from .geometry import (
     PointGeometry,
     exterior_derivative,
+    frame_norm,
     norm_squared,
     orthonormal_frame_values,
     tvalues,
@@ -82,7 +83,7 @@ def _kc_defect(structure: ContactMetricStructure, points):
 def kc_residuals(structure: ContactMetricStructure, points):
     """Max orthonormal-frame residual of phi^2 + Id - eta (x) xi per point."""
     geo, defect = _kc_defect(structure, points)
-    return np.sqrt(np.abs(norm_squared(geo.g_values, geo.ginv_values, defect, "ul")))
+    return frame_norm(geo, defect, "ul")
 
 
 def kc_max_component_residuals(structure, points):
@@ -113,10 +114,8 @@ def reeb_residuals(structure, points):
     phi = tvalues(structure.phi(geo))
     deta = 2.0 * tvalues(structure.half_deta(geo))
     pairing = np.abs(np.einsum("bi,bi->b", eta, xi) - 1.0)
-    kernel = np.sqrt(np.abs(norm_squared(
-        geo.g_values, geo.ginv_values, np.einsum("bai,bi->ba", phi, xi), "u")))
-    interior = np.sqrt(np.abs(norm_squared(
-        geo.g_values, geo.ginv_values, np.einsum("bi,bij->bj", xi, deta), "l")))
+    kernel = frame_norm(geo, np.einsum("bai,bi->ba", phi, xi), "u")
+    interior = frame_norm(geo, np.einsum("bi,bij->bj", xi, deta), "l")
     return {"reeb-pairing": pairing, "reeb-kernel": kernel,
             "reeb-interior": interior}
 
@@ -181,8 +180,7 @@ def sasaki_residuals(structure, points):
     defect = nab2 - wedge
     # signature: m covariant, a contravariant, i covariant
     defect = np.moveaxis(defect, 2, 1)        # (B, a, m, i)
-    return np.sqrt(np.abs(norm_squared(
-        geo.g_values, geo.ginv_values, defect, "ull")))
+    return frame_norm(geo, defect, "ull")
 
 
 # -- cone symplectic data -----------------------------------------------------
@@ -231,8 +229,7 @@ def build_cone_symplectic(structure: ContactMetricStructure) -> ConeSymplecticDa
     j = tvalues(data.complex_structure(geo))
     d = cone.dim
     defect = np.einsum("bam,bmi->bai", j, j) + np.eye(d)[None, :, :]
-    worst = np.max(np.sqrt(np.abs(norm_squared(
-        geo.g_values, geo.ginv_values, defect, "ul"))))
+    worst = np.max(frame_norm(geo, defect, "ul"))
     if worst > 1e-8:
         raise IncompatibleStructureError(
             f"J^2 + Id residual {worst:.3e}; base structure violates the "
@@ -247,17 +244,14 @@ def symplectic_residuals(data: ConeSymplecticData, points):
     d = cone.dim
     om = data.omega(geo)
     dom = tvalues(exterior_derivative(om))
-    closed = np.sqrt(np.abs(norm_squared(
-        geo.g_values, geo.ginv_values, dom, "lll")))
+    closed = frame_norm(geo, dom, "lll")
     om_v = tvalues(om)
     norm = np.abs(norm_squared(geo.g_values, geo.ginv_values, om_v, "ll") - d)
     j = tvalues(data.complex_structure(geo))
     pulled = np.einsum("zai,zab,zbj->zij", j, geo.g_values, j)
-    isometry = np.sqrt(np.abs(norm_squared(
-        geo.g_values, geo.ginv_values, pulled - geo.g_values, "ll")))
+    isometry = frame_norm(geo, pulled - geo.g_values, "ll")
     square = np.einsum("bam,bmi->bai", j, j) + np.eye(d)[None, :, :]
-    sq_res = np.sqrt(np.abs(norm_squared(
-        geo.g_values, geo.ginv_values, square, "ul")))
+    sq_res = frame_norm(geo, square, "ul")
     return {"symplectic-closed": closed, "symplectic-norm": norm,
             "complex-square": sq_res, "complex-isometry": isometry}
 
@@ -266,5 +260,4 @@ def parallel_omega_residuals(data: ConeSymplecticData, points):
     """|nab Omega| per cone point (vanishes iff the base is Sasakian)."""
     geo = PointGeometry(data.cone.chart, jet_point(data.cone.chart, points, 3))
     nab = tvalues(geo.covd(data.omega(geo), (0, 2)))
-    return np.sqrt(np.abs(norm_squared(
-        geo.g_values, geo.ginv_values, nab, "lll")))
+    return frame_norm(geo, nab, "lll")

@@ -18,7 +18,8 @@ Conventions, frozen once and pinned by calibration fixtures in the tests:
 * codifferential  delta sigma = -g^{mi} (nab sigma)_{mi}   (= -div);
 * Laplacian   Delta = delta d = -tr_g Hess, so Delta(r^2) < 0 on flat space;
 * tensor norms are full sums over all index tuples in an orthonormal frame,
-  no 1/p! weight; inner products likewise.
+  no 1/p! weight; inner products likewise.  ``frame_norm`` is the one
+  residual measure: every kernel reports sqrt|<T, T>| of its defect T.
 
 Component layout: contravariant indices first, then covariant.  A covariant
 derivative prepends one covariant index, i.e. (nab T)[m, ...] = nab_m T.
@@ -55,6 +56,15 @@ def grad(T, dim):
     return out
 
 
+def constant_tensor(values, dim, order) -> np.ndarray:
+    """Object tensor of constant jets from (batch,) + shape float values."""
+    values = np.asarray(values, float)
+    out = np.empty(values.shape[1:], object)
+    for idx in np.ndindex(*out.shape):
+        out[idx] = Jet.constant(values[(slice(None),) + idx], dim, order)
+    return out
+
+
 def tvalues(T) -> np.ndarray:
     """Float values of an object tensor, shape (batch,) + T.shape."""
     first = T[next(iter(np.ndindex(*T.shape)))] if T.shape else T[()]
@@ -87,10 +97,7 @@ def inverse_metric(g) -> np.ndarray:
         g0_inv = np.linalg.inv(g0)
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError("singular metric value") from exc
-    inv0 = np.empty((d, d), object)
-    for i in range(d):
-        for j in range(d):
-            inv0[i, j] = Jet.constant(g0_inv[:, i, j], sample.dim, order)
+    inv0 = constant_tensor(g0_inv, sample.dim, order)
     n_part = np.empty((d, d), object)
     for i in range(d):
         for j in range(d):
@@ -332,6 +339,11 @@ def norm_squared(g_values, ginv_values, comps, sig):
     paired with g) or "l" (covariant, paired with g^{-1}).
     """
     return inner_product(g_values, ginv_values, comps, comps, sig)
+
+
+def frame_norm(geo, T, sig):
+    """sqrt|<T, T>| for batched values T; geo carries g_values, ginv_values."""
+    return np.sqrt(np.abs(norm_squared(geo.g_values, geo.ginv_values, T, sig)))
 
 
 def inner_product(g_values, ginv_values, A, B, sig):

@@ -362,19 +362,3 @@ def sin(v):
 
 def cos(v):
     return v.cos() if isinstance(v, Jet) else np.cos(v)
-
-
-def exp(v):
-    return v.exp() if isinstance(v, Jet) else np.exp(v)
-
-
-def log(v):
-    return v.log() if isinstance(v, Jet) else np.log(v)
-
-
-def sqrt(v):
-    return v.sqrt() if isinstance(v, Jet) else np.sqrt(v)
-
-
-def value_of(v):
-    return v.value if isinstance(v, Jet) else _as_batch(v)

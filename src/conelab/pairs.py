@@ -22,7 +22,7 @@ import numpy as np
 from .chart import jet_point
 from .contact import ConeSymplecticData
 from .errors import DegeneratePairError, ImpossiblePairError
-from .geometry import PointGeometry, norm_squared, tvalues
+from .geometry import PointGeometry, frame_norm, tvalues
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,7 @@ def anticommutator_lambda(pair: StructurePair, points):
     lam = float(np.mean(lam_point))
     variation = float(np.max(np.abs(lam_point - lam)))
     defect = q - lam * np.eye(d)[None, :, :]
-    residual = np.sqrt(np.abs(norm_squared(
-        geo.g_values, geo.ginv_values, defect, "ul")))
+    residual = frame_norm(geo, defect, "ul")
     if abs(lam) > 2.0 + 1e-6:
         raise ImpossiblePairError(
             f"anticommutator trace gives lambda = {lam:.6f}, beyond the "
@@ -73,8 +72,7 @@ def commutator_square_residuals(pair: StructurePair, points, lam: float):
     a = np.einsum("zam,zmi->zai", j1, j2) - np.einsum("zam,zmi->zai", j2, j1)
     a2 = np.einsum("zam,zmi->zai", a, a)
     defect = a2 - (lam**2 - 4.0) * np.eye(d)[None, :, :]
-    return np.sqrt(np.abs(norm_squared(
-        geo.g_values, geo.ginv_values, defect, "ul")))
+    return frame_norm(geo, defect, "ul")
 
 
 def third_structure_values(pair: StructurePair, points, lam: float):
@@ -91,21 +89,18 @@ def third_structure_values(pair: StructurePair, points, lam: float):
 def third_structure_residuals(pair: StructurePair, points, lam: float):
     """Square, isometry, and anticommutation residuals of I."""
     geo, j1, j2, i_ = third_structure_values(pair, points, lam)
-    d = pair.cone.dim
-    gv, giv = geo.g_values, geo.ginv_values
-
-    def endo_norm(T):
-        return np.sqrt(np.abs(norm_squared(gv, giv, T, "ul")))
-
-    eye = np.eye(d)[None, :, :]
+    gv = geo.g_values
+    eye = np.eye(pair.cone.dim)[None, :, :]
     return {
-        "square": endo_norm(np.einsum("zam,zmi->zai", i_, i_) + eye),
-        "isometry": np.sqrt(np.abs(norm_squared(
-            gv, giv, np.einsum("zai,zab,zbj->zij", i_, gv, i_) - gv, "ll"))),
-        "anticommute-first": endo_norm(
-            np.einsum("zam,zmi->zai", i_, j1) + np.einsum("zam,zmi->zai", j1, i_)),
-        "anticommute-second": endo_norm(
-            np.einsum("zam,zmi->zai", i_, j2) + np.einsum("zam,zmi->zai", j2, i_)),
+        "square": frame_norm(geo, np.einsum("zam,zmi->zai", i_, i_) + eye, "ul"),
+        "isometry": frame_norm(
+            geo, np.einsum("zai,zab,zbj->zij", i_, gv, i_) - gv, "ll"),
+        "anticommute-first": frame_norm(
+            geo, np.einsum("zam,zmi->zai", i_, j1) + np.einsum("zam,zmi->zai", j1, i_),
+            "ul"),
+        "anticommute-second": frame_norm(
+            geo, np.einsum("zam,zmi->zai", i_, j2) + np.einsum("zam,zmi->zai", j2, i_),
+            "ul"),
     }
 
 
@@ -130,28 +125,21 @@ def parallel_third_structure_residuals(pair: StructurePair, points, lam: float):
             a[x, y] = (1.0 / np.sqrt(4.0 - lam**2)) * acc
     nab = tvalues(geo.covd(a, (1, 1)))  # (B, m, a, i)
     nab = np.moveaxis(nab, 2, 1)        # contravariant axis first
-    return np.sqrt(np.abs(norm_squared(
-        geo.g_values, geo.ginv_values, nab, "ull")))
+    return frame_norm(geo, nab, "ull")
 
 
 def quaternion_relation_residuals(pair: StructurePair, points, lam: float):
     """K = IJ closes the triple: JK = I, KI = J, K^2 = -Id."""
     geo, j1, j2, i_ = third_structure_values(pair, points, lam)
-    d = pair.cone.dim
-    gv, giv = geo.g_values, geo.ginv_values
     k = np.einsum("zam,zmi->zai", i_, j1)
-
-    def endo_norm(T):
-        return np.sqrt(np.abs(norm_squared(gv, giv, T, "ul")))
-
-    eye = np.eye(d)[None, :, :]
+    eye = np.eye(pair.cone.dim)[None, :, :]
     return {
-        "k-square": endo_norm(np.einsum("zam,zmi->zai", k, k) + eye),
-        "jk-closes": endo_norm(np.einsum("zam,zmi->zai", j1, k) - i_),
-        "ki-closes": endo_norm(np.einsum("zam,zmi->zai", k, i_) - j1),
-        "ij-anticommute": endo_norm(
-            np.einsum("zam,zmi->zai", i_, j1)
-            + np.einsum("zam,zmi->zai", j1, i_)),
+        "k-square": frame_norm(geo, np.einsum("zam,zmi->zai", k, k) + eye, "ul"),
+        "jk-closes": frame_norm(geo, np.einsum("zam,zmi->zai", j1, k) - i_, "ul"),
+        "ki-closes": frame_norm(geo, np.einsum("zam,zmi->zai", k, i_) - j1, "ul"),
+        "ij-anticommute": frame_norm(
+            geo, np.einsum("zam,zmi->zai", i_, j1) + np.einsum("zam,zmi->zai", j1, i_),
+            "ul"),
     }
 
 
@@ -173,7 +161,6 @@ def s2_family_coefficients(pair: StructurePair, third: ConeSymplecticData,
     ], axis=1)
     recon = (coeffs[:, 0, None, None] * i_ + coeffs[:, 1, None, None] * j1
              + coeffs[:, 2, None, None] * k)
-    residual = np.sqrt(np.abs(norm_squared(
-        geo.g_values, geo.ginv_values, jpp - recon, "ul")))
+    residual = frame_norm(geo, jpp - recon, "ul")
     unit_defect = np.abs(np.einsum("zc,zc->z", coeffs, coeffs) - 1.0)
     return coeffs, residual, unit_defect

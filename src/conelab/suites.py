@@ -99,8 +99,9 @@ def _entry(manifold):
         raise SuiteUsageError(str(exc)) from None
 
 
-# the only suites whose kernels take their jet order from the config
-_JET_ORDER_SUITES = ("cone-identities", "weitzenboeck")
+# the only suites whose kernels take their jet order from the config, with
+# the least order that seeds every derivative they take
+_MIN_JET_ORDER = {"cone-identities": 2, "weitzenboeck": 4}
 # how many of the config's radii each suite reads; the others read none
 _RADII_READ = {"weitzenboeck": 2, "integration": 1}
 
@@ -109,13 +110,15 @@ def _validate(entry, config):
     if config.samples < 1:
         raise SuiteUsageError(f"samples must be at least 1, got {config.samples}")
     if config.jet_order is not None:
-        if config.suite not in _JET_ORDER_SUITES:
+        least = _MIN_JET_ORDER.get(config.suite)
+        if least is None:
             raise SuiteUsageError(
                 f"suite {config.suite!r} runs at fixed jet orders; a jet order "
-                f"applies only to {', '.join(_JET_ORDER_SUITES)}")
-        if config.jet_order < 1:
+                f"applies only to {', '.join(_MIN_JET_ORDER)}")
+        if config.jet_order < least:
             raise SuiteUsageError(
-                f"jet order must be at least 1, got {config.jet_order}")
+                f"suite {config.suite!r} needs jet order at least {least}, "
+                f"got {config.jet_order}")
     if config.grid is not None:
         if config.suite != "integration":
             raise SuiteUsageError(
@@ -242,26 +245,22 @@ def _cone_identities(entry, config):
     dim = entry.chart.dim
 
     def forms(fn, degree):
-        res = cone_mod.form_relation_residuals(cn, pts, radii, dirs[0], fn,
-                                               degree, geo=geo, bgeo=bgeo)
+        res = cone_mod.form_relation_residuals(geo, bgeo, dirs[0], fn, degree)
         return _picked(res, ("form-radial", "form-directional"), cpts)
 
     def codiff_sweep():
         return [np.maximum.reduce([
-            cone_mod.lemma_codifferential_residuals(
-                cn, pts, radii, fn, k, geo=geo, bgeo=bgeo)[0]
+            cone_mod.lemma_codifferential_residuals(geo, bgeo, fn, k)[0]
             for k in _LEMMA_WEIGHTS for fn in _lemma_oneforms(dim)])], cpts
 
     def lap_sweep():
         return [np.maximum.reduce([
-            cone_mod.lemma_laplacian_residuals(
-                cn, pts, radii, fn, k, geo=geo, bgeo=bgeo)[0]
+            cone_mod.lemma_laplacian_residuals(geo, bgeo, fn, k)[0]
             for k in _LEMMA_WEIGHTS for fn in _lemma_functions()])], cpts
 
     def lap_r2():
         one = lambda x: x[0] * 0.0 + 1.0
-        _, lhs, _ = cone_mod.lemma_laplacian_residuals(
-            cn, pts, radii, one, 2, geo=geo, bgeo=bgeo)
+        _, lhs, _ = cone_mod.lemma_laplacian_residuals(geo, bgeo, one, 2)
         return [np.abs(lhs - (-2.0 * (2 * cn.n + 2)))], cpts
 
     return [
@@ -269,8 +268,7 @@ def _cone_identities(entry, config):
             lambda: ([cone_mod.block_metric_residuals(cn, pts, radii)], cpts)),
         Row([(f"cone-{key}", "Eq. (1)", 1e-7) for key in _CONNECTION],
             lambda: _picked(cone_mod.connection_relation_residuals(
-                cn, pts, radii, dirs[0], dirs[1], geo=geo, bgeo=bgeo),
-                _CONNECTION, cpts)),
+                geo, bgeo, dirs[0], dirs[1]), _CONNECTION, cpts)),
         Row([("cone-oneform-radial", "Eq. (2)", 1e-7),
              ("cone-oneform-directional", "Eq. (2)", 1e-7)],
             lambda: forms(_lemma_oneforms(dim)[3], 1)),
@@ -279,14 +277,13 @@ def _cone_identities(entry, config):
             lambda: forms(_test_twoform(dim), 2)),
         Row([("cone-dr-radial", "Eq. (3)", 1e-7),
              ("cone-dr-hessian", "Eq. (3)", 1e-7)],
-            lambda: _picked(cone_mod.dr_relation_residuals(
-                cn, pts, radii, dirs[0], geo=geo, bgeo=bgeo),
-                ("dr-radial", "dr-hessian"), cpts)),
+            lambda: _picked(cone_mod.dr_relation_residuals(geo, bgeo, dirs[0]),
+                            ("dr-radial", "dr-hessian"), cpts)),
         Row([("cone-curvature-radial", "Eq. (4)", 1e-7),
              ("cone-curvature-horizontal", "Eq. (4)", 1e-7)],
             lambda: _picked(cone_mod.curvature_relation_residuals(
-                cn, pts, radii, dirs[0], dirs[1], dirs[2], geo=geo, bgeo=bgeo),
-                ("curvature-radial", "curvature-horizontal"), cpts)),
+                geo, bgeo, *dirs), ("curvature-radial", "curvature-horizontal"),
+                cpts)),
         Row([("cone-codifferential-weights", "Lemma 2.2(i)", 1e-6)],
             codiff_sweep),
         Row([("cone-laplacian-weights", "Lemma 2.2(ii)", 1e-6)], lap_sweep),

@@ -25,13 +25,13 @@ Convention calibration (frozen here, pinned by tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .chart import jet_point
 from .contact import ConeSymplecticData
-from .geometry import PointGeometry, inner_product, norm_squared, tvalues
+from .geometry import PointGeometry, frame_norm, inner_product, norm_squared, tvalues
 
 # Calibrated once against the torus cone and frozen: with these conventions
 # s* - s = |nab Omega|^2 holds with factor exactly 1 on every catalog cone,
@@ -52,26 +52,26 @@ class WeitzenboeckPointData:
     s: np.ndarray               # scalar curvature of the cone
     s_star: np.ndarray
     nab_omega_sq: np.ndarray    # |nab Omega|^2
-    lap_s_diff: np.ndarray      # Delta(s* - s)
     div_term: np.ndarray        # delta(<rho*, nab_. Omega>)
     ric_div_term: np.ndarray    # delta(J delta_nab (J Ric''))
     ric_anti_sq: np.ndarray     # |Ric''|^2
-    rough_sq: np.ndarray        # |nab*nab Omega|^2
-    phi_sq: np.ndarray          # |phi|^2
-    rho_phi: np.ndarray         # <rho, phi>
-    rho_rough: np.ndarray       # <rho, nab*nab Omega>
-    solved_rpp_sq: np.ndarray   # 8|R''|^2 solved from the identity
     omega: np.ndarray           # (B, d, d)
     j: np.ndarray               # (B, d, d) endomorphism
     nab_omega: np.ndarray       # (B, d, d, d)
-    rough: np.ndarray           # (B, d, d) nab*nab Omega
     rho_star: np.ndarray        # (B, d, d)
     rho: np.ndarray             # (B, d, d)
     ric_anti: np.ndarray        # (B, d, d)
-    phi: np.ndarray             # (B, d, d)
     pairing_form: np.ndarray    # (B, d) <rho*, nab_. Omega>
     g_values: np.ndarray        # (B, d, d)
     ginv_values: np.ndarray     # (B, d, d)
+    lap_s_diff: np.ndarray = None     # Delta(s* - s)
+    rough_sq: np.ndarray = None       # |nab*nab Omega|^2
+    phi_sq: np.ndarray = None         # |phi|^2
+    rho_phi: np.ndarray = None        # <rho, phi>
+    rho_rough: np.ndarray = None      # <rho, nab*nab Omega>
+    solved_rpp_sq: np.ndarray = None  # 8|R''|^2 solved from the identity
+    rough: np.ndarray = None          # (B, d, d) nab*nab Omega
+    phi: np.ndarray = None            # (B, d, d)
 
 
 def weitzenboeck_data(sympl: ConeSymplecticData, base_pts, radii,
@@ -156,52 +156,34 @@ def weitzenboeck_data(sympl: ConeSymplecticData, base_pts, radii,
 
     # value-level pieces
     gv, giv = geo.g_values, geo.ginv_values
-    om_v = tvalues(om)
-    j_v = tvalues(jj)
     nab_om_v = tvalues(nab_om)
-    rho_star_v = tvalues(rho_star)
-    rho_v = tvalues(rho)
     ric_anti_v = tvalues(ric_anti)
-    sigma_v = tvalues(sigma)
-    nab_omega_sq = norm_squared(gv, giv, nab_om_v, "lll")
-    s_v = s.value
-    s_star_v = s_star.value
-    div_v = div_term.value
-    ric_div_v = ric_div_term.value
-
+    data = WeitzenboeckPointData(
+        points=pts, s=s.value, s_star=s_star.value,
+        nab_omega_sq=norm_squared(gv, giv, nab_om_v, "lll"),
+        div_term=div_term.value, ric_div_term=ric_div_term.value,
+        ric_anti_sq=norm_squared(gv, giv, ric_anti_v, "ll"),
+        omega=tvalues(om), j=tvalues(jj), nab_omega=nab_om_v,
+        rho_star=tvalues(rho_star), rho=tvalues(rho), ric_anti=ric_anti_v,
+        pairing_form=tvalues(sigma), g_values=gv, ginv_values=giv)
     if not full:
-        return WeitzenboeckPointData(
-            points=pts, s=s_v, s_star=s_star_v, nab_omega_sq=nab_omega_sq,
-            lap_s_diff=None, div_term=div_v, ric_div_term=ric_div_v,
-            ric_anti_sq=norm_squared(gv, giv, ric_anti_v, "ll"),
-            rough_sq=None, phi_sq=None, rho_phi=None, rho_rough=None,
-            solved_rpp_sq=None, omega=om_v, j=j_v, nab_omega=nab_om_v,
-            rough=None, rho_star=rho_star_v, rho=rho_v, ric_anti=ric_anti_v,
-            phi=None, pairing_form=sigma_v, g_values=gv, ginv_values=giv)
+        return data
 
     rough_v = tvalues(rough)
     phi_v = PHI_SIGN * np.einsum(
-        "zmi,zmab,zjcd,zac,zbd->zij", j_v, nab_om_v, nab_om_v, giv, giv,
+        "zmi,zmab,zjcd,zac,zbd->zij", data.j, nab_om_v, nab_om_v, giv, giv,
         optimize=True)
-
-    ric_anti_sq = norm_squared(gv, giv, ric_anti_v, "ll")
     rough_sq = norm_squared(gv, giv, rough_v, "ll")
     phi_sq = norm_squared(gv, giv, phi_v, "ll")
-    rho_phi = inner_product(gv, giv, rho_v, phi_v, "ll")
-    rho_rough = inner_product(gv, giv, rho_v, rough_v, "ll")
+    rho_phi = inner_product(gv, giv, data.rho, phi_v, "ll")
+    rho_rough = inner_product(gv, giv, data.rho, rough_v, "ll")
     lap_v = lap.value
-
-    solved = (-lap_v - 4.0 * ric_div_v + 8.0 * div_v + 2.0 * ric_anti_sq
-              - rough_sq - phi_sq + 4.0 * rho_phi - 4.0 * rho_rough)
-
-    return WeitzenboeckPointData(
-        points=pts, s=s_v, s_star=s_star_v, nab_omega_sq=nab_omega_sq,
-        lap_s_diff=lap_v, div_term=div_v, ric_div_term=ric_div_v,
-        ric_anti_sq=ric_anti_sq, rough_sq=rough_sq, phi_sq=phi_sq,
-        rho_phi=rho_phi, rho_rough=rho_rough, solved_rpp_sq=solved,
-        omega=om_v, j=j_v, nab_omega=nab_om_v, rough=rough_v,
-        rho_star=rho_star_v, rho=rho_v, ric_anti=ric_anti_v, phi=phi_v,
-        pairing_form=sigma_v, g_values=gv, ginv_values=giv)
+    solved = (-lap_v - 4.0 * data.ric_div_term + 8.0 * data.div_term
+              + 2.0 * data.ric_anti_sq - rough_sq - phi_sq + 4.0 * rho_phi
+              - 4.0 * rho_rough)
+    return replace(data, lap_s_diff=lap_v, rough_sq=rough_sq, phi_sq=phi_sq,
+                   rho_phi=rho_phi, rho_rough=rho_rough, solved_rpp_sq=solved,
+                   rough=rough_v, phi=phi_v)
 
 
 def _raise2(geo, T):
@@ -254,18 +236,15 @@ def phi_identity_residuals(data: WeitzenboeckPointData, directions):
 def phi_invariance_residuals(data: WeitzenboeckPointData):
     """phi(JX, JY) - phi(X, Y), frame norm per sample."""
     pulled = np.einsum("zai,zab,zbj->zij", data.j, data.phi, data.j)
-    return np.sqrt(np.abs(norm_squared(
-        data.g_values, data.ginv_values, pulled - data.phi, "ll")))
+    return frame_norm(data, pulled - data.phi, "ll")
 
 
 def ricci_split_residuals(data: WeitzenboeckPointData):
     """Defining symmetries: Ric''(J., J.) = -Ric'', rho(J., J.) = rho."""
     anti = np.einsum("zai,zab,zbj->zij", data.j, data.ric_anti, data.j)
-    res_anti = np.sqrt(np.abs(norm_squared(
-        data.g_values, data.ginv_values, anti + data.ric_anti, "ll")))
+    res_anti = frame_norm(data, anti + data.ric_anti, "ll")
     inv = np.einsum("zai,zab,zbj->zij", data.j, data.rho, data.j)
-    res_inv = np.sqrt(np.abs(norm_squared(
-        data.g_values, data.ginv_values, inv - data.rho, "ll")))
+    res_inv = frame_norm(data, inv - data.rho, "ll")
     return np.maximum(res_anti, res_inv)
 
 

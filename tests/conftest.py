@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conelab import catalog
+from conelab import cone as C
 from conelab.chart import jet_point
 from conelab.geometry import PointGeometry
 from conelab.rng import SplitMix64
@@ -35,6 +36,13 @@ def rng():
 def geometry(chart, points, order):
     """PointGeometry at one point or a batch of points, seeded at order."""
     return PointGeometry(chart, jet_point(chart, points, order))
+
+
+def cone_geometries(cn, pts, radii, order=3):
+    """Cone and base geometry at the same base points, as the suites build
+    them for the residual kernels."""
+    return (C.cone_geometry(cn, pts, radii, order),
+            C.base_geometry(cn, pts, order))
 
 
 def sample(chart, n, seed=0xC0FFEE):

@@ -51,17 +51,19 @@ def test_criterion_1_cone_calculus():
         entry = catalog.get(key)
         cn = C.build_cone(entry.chart)
         _, pts, radii, dirs = _draw(entry.chart)
-        res = C.connection_relation_residuals(cn, pts, radii, dirs[0], dirs[1])
+        # one order-3 geometry pair, as the cone-identities suite builds it
+        geo = C.cone_geometry(cn, pts, radii, 3)
+        bgeo = C.base_geometry(cn, pts, 3)
+        res = C.connection_relation_residuals(geo, bgeo, dirs[0], dirs[1])
         worst = max(worst, max(np.max(v) for v in res.values()))
-        res = C.form_relation_residuals(cn, pts, radii, dirs[0],
+        res = C.form_relation_residuals(geo, bgeo, dirs[0],
                                         _lemma_oneforms(3)[3], 1)
         worst = max(worst, max(np.max(v) for v in res.values()))
-        res = C.form_relation_residuals(cn, pts, radii, dirs[0],
-                                        _test_twoform(3), 2)
+        res = C.form_relation_residuals(geo, bgeo, dirs[0], _test_twoform(3), 2)
         worst = max(worst, max(np.max(v) for v in res.values()))
-        res = C.dr_relation_residuals(cn, pts, radii, dirs[0])
+        res = C.dr_relation_residuals(geo, bgeo, dirs[0])
         worst = max(worst, max(np.max(v) for v in res.values()))
-        res = C.curvature_relation_residuals(cn, pts, radii, *dirs)
+        res = C.curvature_relation_residuals(geo, bgeo, *dirs)
         worst = max(worst, max(np.max(v) for v in res.values()))
     _record(1, "cone calculus Eqs. (1)-(4) on both cones", worst < 1e-7,
             f"max residual {worst:.3e} < 1e-7")
@@ -79,16 +81,13 @@ def test_criterion_2_lemma_dual_paths():
         bgeo = C.base_geometry(cn, pts, 3)
         for k in (-2, 0, 1, 2, 3):
             for fn in _lemma_oneforms(entry.chart.dim):
-                r, _, _ = C.lemma_codifferential_residuals(
-                    cn, pts, radii, fn, k, geo=geo, bgeo=bgeo)
+                r, _, _ = C.lemma_codifferential_residuals(geo, bgeo, fn, k)
                 worst = max(worst, np.max(r))
             for fn in _lemma_functions():
-                r, _, _ = C.lemma_laplacian_residuals(
-                    cn, pts, radii, fn, k, geo=geo, bgeo=bgeo)
+                r, _, _ = C.lemma_laplacian_residuals(geo, bgeo, fn, k)
                 worst = max(worst, np.max(r))
         one = lambda x: x[0] * 0.0 + 1.0
-        _, lhs, _ = C.lemma_laplacian_residuals(cn, pts, radii, one, 2,
-                                                geo=geo, bgeo=bgeo)
+        _, lhs, _ = C.lemma_laplacian_residuals(geo, bgeo, one, 2)
         drift = max(drift, np.max(np.abs(lhs + 8.0)))
     ok = worst < 1e-6 and drift < 1e-9
     _record(2, "Lemma 2.2(i)-(ii) dual paths + Delta(r^2) = -8", ok,

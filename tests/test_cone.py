@@ -13,7 +13,7 @@ from conelab import geometry as G
 from conelab.errors import ConeCompletionError
 from conelab.jets import cos, sin
 
-from .conftest import geometry, sample
+from .conftest import cone_geometries, geometry, sample
 from . import oracles
 
 
@@ -75,7 +75,8 @@ def test_torus_cone_ricci(tcone, blair):
 def test_connection_relations(tcone, scone, blair, s3):
     for cn, entry in ((tcone, blair), (scone, s3)):
         pts, radii, dirs = sample(entry.chart, 40, seed=27)
-        res = C.connection_relation_residuals(cn, pts, radii, dirs[0], dirs[1])
+        geo, bgeo = cone_geometries(cn, pts, radii)
+        res = C.connection_relation_residuals(geo, bgeo, dirs[0], dirs[1])
         for key, vals in res.items():
             assert np.max(vals) < 1e-8, key
 
@@ -103,10 +104,11 @@ def test_form_relations(tcone, scone, blair, s3):
 
     for cn, entry in ((tcone, blair), (scone, s3)):
         pts, radii, dirs = sample(entry.chart, 30, seed=37)
-        res = C.form_relation_residuals(cn, pts, radii, dirs[0], oneform, 1)
+        geo, bgeo = cone_geometries(cn, pts, radii)
+        res = C.form_relation_residuals(geo, bgeo, dirs[0], oneform, 1)
         assert np.max(res["form-radial"]) < 1e-8
         assert np.max(res["form-directional"]) < 1e-8
-        res = C.form_relation_residuals(cn, pts, radii, dirs[0], twoform, 2)
+        res = C.form_relation_residuals(geo, bgeo, dirs[0], twoform, 2)
         assert np.max(res["form-radial"]) < 1e-8
         assert np.max(res["form-directional"]) < 1e-8
 
@@ -135,7 +137,7 @@ def test_lifted_form_r_scaling(tcone, blair):
 
 def test_dr_relations(tcone, blair):
     pts, radii, dirs = sample(blair.chart, 40, seed=57)
-    res = C.dr_relation_residuals(tcone, pts, radii, dirs[0])
+    res = C.dr_relation_residuals(*cone_geometries(tcone, pts, radii), dirs[0])
     assert np.max(res["dr-radial"]) < 1e-10
     assert np.max(res["dr-hessian"]) < 1e-10
 
@@ -143,7 +145,8 @@ def test_dr_relations(tcone, blair):
 def test_curvature_relations(tcone, scone, blair, s3):
     for cn, entry in ((tcone, blair), (scone, s3)):
         pts, radii, dirs = sample(entry.chart, 30, seed=67)
-        res = C.curvature_relation_residuals(cn, pts, radii, *dirs)
+        res = C.curvature_relation_residuals(
+            *cone_geometries(cn, pts, radii), *dirs)
         assert np.max(res["curvature-radial"]) < 1e-8
         assert np.max(res["curvature-horizontal"]) < 1e-8
 
@@ -158,9 +161,9 @@ def test_lemma_codifferential_dual_path(tcone, scone, blair, s3):
 
     for cn, entry in ((tcone, blair), (scone, s3)):
         pts, radii, _ = sample(entry.chart, 25, seed=77)
+        geo, bgeo = cone_geometries(cn, pts, radii)
         for k in (-2, 0, 1, 2, 3):
-            res, _, _ = C.lemma_codifferential_residuals(
-                cn, pts, radii, oneform, k)
+            res, _, _ = C.lemma_codifferential_residuals(geo, bgeo, oneform, k)
             assert np.max(res) < 1e-8, k
 
 
@@ -176,12 +179,12 @@ def test_lemma_codifferential_pinned_value(unnormalized):
         return out
 
     pts, _, _ = sample(unnormalized.chart, 8, seed=87)
-    radii = np.full(8, 2.0)
-    res, lhs, rhs = C.lemma_codifferential_residuals(cn, pts, radii, sigma, 0)
+    geo, bgeo = cone_geometries(cn, pts, np.full(8, 2.0))
+    res, lhs, rhs = C.lemma_codifferential_residuals(geo, bgeo, sigma, 0)
     assert np.max(np.abs(lhs - (-np.cos(pts[:, 0]) / 4))) < 1e-12
     assert np.max(np.abs(rhs - (-np.cos(pts[:, 0]) / 4))) < 1e-12
     # k = 3 at r = 2: r^{k-2} delta sigma = -2 cos t
-    res, lhs, rhs = C.lemma_codifferential_residuals(cn, pts, radii, sigma, 3)
+    res, lhs, rhs = C.lemma_codifferential_residuals(geo, bgeo, sigma, 3)
     assert np.max(np.abs(lhs - (-2 * np.cos(pts[:, 0])))) < 1e-12
 
 
@@ -193,9 +196,10 @@ def test_lemma_laplacian_dual_path(tcone, scone, blair, s3):
     ]
     for cn, entry in ((tcone, blair), (scone, s3)):
         pts, radii, _ = sample(entry.chart, 25, seed=97)
+        geo, bgeo = cone_geometries(cn, pts, radii)
         for k in (-2, 0, 1, 2, 3):
             for fn in fns:
-                res, _, _ = C.lemma_laplacian_residuals(cn, pts, radii, fn, k)
+                res, _, _ = C.lemma_laplacian_residuals(geo, bgeo, fn, k)
                 assert np.max(res) < 1e-8
 
 
@@ -204,7 +208,8 @@ def test_laplacian_of_r_squared(tcone, scone):
     one = lambda x: x[0] * 0.0 + 1.0
     for cn in (tcone, scone):
         pts, radii, _ = sample(cn.base, 20, seed=107)
-        _, lhs, _ = C.lemma_laplacian_residuals(cn, pts, radii, one, 2)
+        _, lhs, _ = C.lemma_laplacian_residuals(
+            *cone_geometries(cn, pts, radii), one, 2)
         assert np.max(np.abs(lhs + 8.0)) < 1e-9
 
 
@@ -213,7 +218,8 @@ def test_lemma_negative_weight_matches_balance_step(tcone):
     the zeroth-order term."""
     fn = lambda x: sin(x[0])
     pts, radii, _ = sample(tcone.base, 15, seed=117)
-    _, lhs, _ = C.lemma_laplacian_residuals(tcone, pts, radii, fn, -2)
+    _, lhs, _ = C.lemma_laplacian_residuals(
+        *cone_geometries(tcone, pts, radii), fn, -2)
     want = (4.0 * np.sin(pts[:, 0])) / radii**4  # Delta^M sin t = 4 sin t here
     assert np.max(np.abs(lhs - want)) < 1e-10
 
@@ -253,11 +259,11 @@ def test_check_report_operations(tcone):
         out[2] = x[0] * 0.0 + 0.5
         return out
 
-    res = C.connection_relation_residuals(tcone, pts, radii, dirs[0], dirs[1])
-    res.update(C.form_relation_residuals(tcone, pts, radii, dirs[0],
-                                         generic_oneform, 1))
-    res.update(C.dr_relation_residuals(tcone, pts, radii, dirs[0]))
-    res.update(C.curvature_relation_residuals(tcone, pts, radii, *dirs))
+    geo, bgeo = cone_geometries(tcone, pts, radii)
+    res = C.connection_relation_residuals(geo, bgeo, dirs[0], dirs[1])
+    res.update(C.form_relation_residuals(geo, bgeo, dirs[0], generic_oneform, 1))
+    res.update(C.dr_relation_residuals(geo, bgeo, dirs[0]))
+    res.update(C.curvature_relation_residuals(geo, bgeo, *dirs))
     assert set(res) >= {"radial-geodesic", "horizontal-connection",
                         "curvature-radial", "curvature-horizontal"}
     reports = [make_report(key, "Eqs. (1)-(4)", vals, 1e-7, cpts)
@@ -271,10 +277,9 @@ def test_check_report_operations(tcone):
         out[2] = x[0] * 0.0
         return out
 
-    r, _, _ = C.lemma_codifferential_residuals(tcone, pts, radii, sigma, 3)
+    r, _, _ = C.lemma_codifferential_residuals(geo, bgeo, sigma, 3)
     rep = make_report("codifferential-k+3", "Lemma 2.2(i)", r, 1e-6, cpts)
     assert rep.verdict == "pass"
-    r, _, _ = C.lemma_laplacian_residuals(tcone, pts, radii,
-                                          lambda x: sin(x[0]), -2)
+    r, _, _ = C.lemma_laplacian_residuals(geo, bgeo, lambda x: sin(x[0]), -2)
     rep = make_report("laplacian-k-2", "Lemma 2.2(ii)", r, 1e-6, cpts)
     assert rep.verdict == "pass"

@@ -155,6 +155,8 @@ def test_cli_list_and_exit_codes(tmp_path, capsys):
     for suite, flags in (("kcontact", ["--samples", "0"]),
                          ("kcontact", ["--samples", "-3"]),
                          ("cone-identities", ["--jet-order", "-1"]),
+                         ("cone-identities", ["--jet-order", "1"]),
+                         ("weitzenboeck", ["--jet-order", "3"]),
                          ("integration", ["--grid", "0"]),
                          ("weitzenboeck", ["--radius", "0"]),
                          ("weitzenboeck", ["--radius", "50"])):
@@ -242,16 +244,27 @@ def test_cli_entry_point_subprocess():
 
 
 def test_benchmark_tracer_installs():
-    """Every name the benchmark's tracer pins still exists, and a suite runs
-    traced; the tracer patches modules in place, hence the subprocess."""
+    """Every name the benchmark's tracer pins still exists, and suites run
+    traced to the very reports they give untraced, with no error verdict; the
+    tracer patches modules in place, hence the subprocess."""
     root = Path(__file__).resolve().parents[1]
     script = (
         "import sys\n"
         f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]\n"
         "import conelab, tracing\n"
-        "from conelab.report import SuiteConfig\n"
+        "from conelab.report import SuiteConfig, report_json\n"
+        "configs = [SuiteConfig('s3-round', suite, samples=2)\n"
+        "           for suite in ('kcontact', 'cone-identities')]\n"
+        "def run():\n"
+        "    out = []\n"
+        "    for config in configs:\n"
+        "        reports = conelab.suites.run_suite(config)\n"
+        "        assert all(r.verdict != 'error' for r in reports), reports\n"
+        "        out.append(report_json(config, reports))\n"
+        "    return out\n"
+        "plain = run()\n"
         "tracer = tracing.install(conelab)\n"
-        "conelab.suites.run_suite(SuiteConfig('s3-round', 'kcontact', samples=2))\n"
+        "assert run() == plain\n"
         "assert tracer.totals['jets.mul.calls'] > 0\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
@@ -268,6 +281,10 @@ def test_reports_do_not_depend_on_jet_order(suite, manifold, orders):
     reports = [run_suite(_config(manifold, suite, samples=3, jet_order=k))
                for k in orders]
     assert reports[0] == reports[1] == reports[2]
+    # the least of these orders is the suite's minimum: one less is a usage
+    # error, not a wall of `error` verdicts
+    with pytest.raises(SuiteUsageError):
+        run_suite(_config(manifold, suite, samples=3, jet_order=orders[0] - 1))
 
 
 def test_integrand_cache_is_keyed_by_content(monkeypatch):
