@@ -7,7 +7,7 @@ differentiation throughout.
 """
 
 from .chart import ManifoldChart, jet_point
-from .catalog import CatalogEntry, StructureSpec
+from .catalog import CatalogEntry
 from .cone import ConeChart, build_cone, lift_form
 from .contact import (
     ConeSymplecticData,

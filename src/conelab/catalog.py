@@ -1,8 +1,10 @@
 """Closed-form test manifolds with contact data and quadrature specs.
 
-Every entry is a single almost-everywhere chart; all structure fields are
-evaluable expressions over jets, never sampled tables, so differentiation
-stays exact.  Entries are addressable by stable string ids:
+Every entry is a single almost-everywhere chart and holds its candidate
+contact structures as ContactMetricStructures on that chart, each with its
+expected classification.  All structure fields are evaluable expressions
+over jets, never sampled tables, so differentiation stays exact.  Entries
+are addressable by stable string ids:
 
     t3-blair         flat 3-torus, Blair's non-K-contact structure (normalised)
     t3-unnormalized  the same 1-form on the unit flat torus; negative fixture
@@ -24,25 +26,17 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from .chart import ManifoldChart
+from .contact import ContactMetricStructure
 from .jets import cos, sin
 
 TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
-class StructureSpec:
-    """Named candidate Reeb field with its expected classification."""
-
-    name: str
-    xi: Callable  # jet coordinates -> contravariant components
-    expected: str  # sasakian | contact-metric | not-contact-metric
-
-
-@dataclass(frozen=True)
 class CatalogEntry:
     key: str
     chart: ManifoldChart
-    structures: Tuple[StructureSpec, ...]
+    structures: Tuple[ContactMetricStructure, ...]
     quadrature: Tuple[int, ...]      # default nodes per coordinate
     # tuned nodes for the curvature-heavy level-set integrands
     curvature_quadrature: Tuple[int, ...]
@@ -52,7 +46,7 @@ class CatalogEntry:
     def n(self) -> int:
         return (self.chart.dim - 1) // 2
 
-    def structure(self, name: str = None) -> StructureSpec:
+    def structure(self, name: str = None) -> ContactMetricStructure:
         if name is None:
             return self.structures[0]
         for s in self.structures:
@@ -93,7 +87,7 @@ def blair_t3() -> CatalogEntry:
     return CatalogEntry(
         key="t3-blair",
         chart=chart,
-        structures=(StructureSpec("blair", xi, "contact-metric"),),
+        structures=(ContactMetricStructure(chart, xi, "blair", "contact-metric"),),
         quadrature=(32, 32, 32),
         # every structure scalar depends on t alone, and the trapezoidal
         # rule is exact transversally with a handful of nodes
@@ -121,7 +115,8 @@ def flat_t3_unnormalized() -> CatalogEntry:
     return CatalogEntry(
         key="t3-unnormalized",
         chart=chart,
-        structures=(StructureSpec("printed", xi, "not-contact-metric"),),
+        structures=(
+            ContactMetricStructure(chart, xi, "printed", "not-contact-metric"),),
         quadrature=(32, 32, 32),
         curvature_quadrature=(32, 8, 8),
         known_values={"volume": TWO_PI**3, "kc_residual": 0.75},
@@ -188,15 +183,14 @@ def s3_reeb_combination(a: float, b: float, c: float) -> Callable:
 def round_sphere(n: int) -> CatalogEntry:
     """Unit round S^{2n+1} (n = 1 or 2) with its Sasakian Reeb data."""
     if n == 1:
-        structures = (
-            StructureSpec("i", s3_reeb_i(), "sasakian"),
-            StructureSpec("j", s3_reeb_j(), "sasakian"),
-            StructureSpec("k", s3_reeb_k(), "sasakian"),
-        )
+        chart = _s3_chart()
         return CatalogEntry(
             key="s3-round",
-            chart=_s3_chart(),
-            structures=structures,
+            chart=chart,
+            structures=tuple(
+                ContactMetricStructure(chart, xi, name, "sasakian")
+                for name, xi in (("i", s3_reeb_i()), ("j", s3_reeb_j()),
+                                 ("k", s3_reeb_k()))),
             quadrature=(24, 16, 16),
             # the nonnegative integrands vanish pointwise on the flat cone,
             # so positive-weight quadrature bounds them by their sup
@@ -237,7 +231,7 @@ def round_sphere(n: int) -> CatalogEntry:
         return CatalogEntry(
             key="s5-round",
             chart=chart,
-            structures=(StructureSpec("i", xi, "sasakian"),),
+            structures=(ContactMetricStructure(chart, xi, "i", "sasakian"),),
             quadrature=(16, 16, 12, 12, 12),
             curvature_quadrature=(6, 6, 4, 4, 4),  # dim-6 cone: keep it small
             known_values={

@@ -45,6 +45,8 @@ class ContactMetricStructure:
     chart: ManifoldChart
     xi: Callable  # jet coordinates -> contravariant components
     name: str = "xi"
+    # catalogued classification: sasakian | contact-metric | not-contact-metric
+    expected: str = ""
 
     @property
     def n(self) -> int:

@@ -27,6 +27,8 @@ derivative prepends one covariant index, i.e. (nab T)[m, ...] = nab_m T.
 
 from __future__ import annotations
 
+from functools import wraps
+
 import numpy as np
 
 from .chart import ManifoldChart
@@ -115,6 +117,19 @@ def inverse_metric(g) -> np.ndarray:
 # -- cached geometry at one (batched) jet point -------------------------------
 
 
+def _cached(build):
+    """A property that computes build(self) once, kept in self._cache."""
+    key = build.__name__
+
+    @wraps(build)
+    def get(self):
+        if key not in self._cache:
+            self._cache[key] = build(self)
+        return self._cache[key]
+
+    return property(get)
+
+
 class PointGeometry:
     """Lazily-computed connection and curvature data at a jet point."""
 
@@ -124,102 +139,83 @@ class PointGeometry:
         self.dim = chart.dim
         self._cache = {}
 
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
     @property
     def order(self):
         return self.x[0].order
 
-    @property
+    @_cached
     def g(self):
-        return self._get("g", lambda: self.chart.metric_components(self.x))
+        return self.chart.metric_components(self.x)
 
-    @property
+    @_cached
     def ginv(self):
-        return self._get("ginv", lambda: inverse_metric(self.g))
+        return inverse_metric(self.g)
 
-    @property
+    @_cached
     def g_values(self):
-        return self._get("gv", lambda: tvalues(self.g))
+        return tvalues(self.g)
 
-    @property
+    @_cached
     def ginv_values(self):
-        return self._get("giv", lambda: np.linalg.inv(self.g_values))
+        return np.linalg.inv(self.g_values)
 
-    @property
+    @_cached
     def gamma(self):
         """Christoffel symbols, gamma[k, i, j] = Gamma^k_ij."""
+        d = self.dim
+        g = self.g
+        dg = [dpartial(g, m) for m in range(d)]
+        ginv = tmap(lambda v: v.truncate(self.order - 1), self.ginv)
+        out = np.empty((d, d, d), object)
+        for i in range(d):
+            for j in range(i, d):
+                for k in range(d):
+                    acc = None
+                    for l in range(d):
+                        term = ginv[k, l] * (dg[i][j, l] + dg[j][i, l] - dg[l][i, j])
+                        acc = term if acc is None else acc + term
+                    val = 0.5 * acc
+                    out[k, i, j] = val
+                    out[k, j, i] = val
+        return out
 
-        def build():
-            d = self.dim
-            g = self.g
-            dg = [dpartial(g, m) for m in range(d)]
-            ginv = tmap(lambda v: v.truncate(self.order - 1), self.ginv)
-            out = np.empty((d, d, d), object)
-            for i in range(d):
-                for j in range(i, d):
-                    for k in range(d):
-                        acc = None
-                        for l in range(d):
-                            term = ginv[k, l] * (dg[i][j, l] + dg[j][i, l] - dg[l][i, j])
-                            acc = term if acc is None else acc + term
-                        val = 0.5 * acc
-                        out[k, i, j] = val
-                        out[k, j, i] = val
-            return out
-
-        return self._get("gamma", build)
-
-    @property
+    @_cached
     def riemann(self):
         """R[a, i, j, k]: component along dx_a of R(d_i, d_j) d_k."""
+        d = self.dim
+        gam = self.gamma
+        dgam = [dpartial(gam, m) for m in range(d)]
+        out = np.empty((d, d, d, d), object)
+        for i in range(d):
+            for j in range(d):
+                for k in range(d):
+                    for a in range(d):
+                        if i == j:
+                            out[a, i, j, k] = (gam[a, i, k] - gam[a, i, k]).truncate(
+                                self.order - 2)
+                            continue
+                        if i > j:
+                            out[a, i, j, k] = -out[a, j, i, k]
+                            continue
+                        acc = dgam[i][a, j, k] - dgam[j][a, i, k]
+                        for b in range(d):
+                            acc = acc + gam[a, i, b] * gam[b, j, k]
+                            acc = acc - gam[a, j, b] * gam[b, i, k]
+                        out[a, i, j, k] = acc
+        return out
 
-        def build():
-            d = self.dim
-            gam = self.gamma
-            dgam = [dpartial(gam, m) for m in range(d)]
-            out = np.empty((d, d, d, d), object)
-            for i in range(d):
-                for j in range(d):
-                    for k in range(d):
-                        for a in range(d):
-                            if i == j:
-                                out[a, i, j, k] = (gam[a, i, k] - gam[a, i, k]).truncate(
-                                    self.order - 2)
-                                continue
-                            if i > j:
-                                out[a, i, j, k] = -out[a, j, i, k]
-                                continue
-                            acc = dgam[i][a, j, k] - dgam[j][a, i, k]
-                            for b in range(d):
-                                acc = acc + gam[a, i, b] * gam[b, j, k]
-                                acc = acc - gam[a, j, b] * gam[b, i, k]
-                            out[a, i, j, k] = acc
-            return out
-
-        return self._get("riemann", build)
-
-    @property
+    @_cached
     def riemann_low(self):
         """Rlow[i, j, k, l] = g(R(d_i, d_j) d_k, d_l)."""
+        return np.tensordot(np.moveaxis(self.riemann, 0, -1), self.g, axes=([3], [0]))
 
-        def build():
-            return np.tensordot(
-                np.moveaxis(self.riemann, 0, -1), self.g, axes=([3], [0]))
-
-        return self._get("riemann_low", build)
-
-    @property
+    @_cached
     def ricci(self):
-        return self._get("ricci", lambda: np.trace(self.riemann, axis1=0, axis2=1))
+        return np.trace(self.riemann, axis1=0, axis2=1)
 
-    @property
+    @_cached
     def scalar_curvature(self):
-        return self._get(
-            "scal", lambda: np.tensordot(self.ginv, self.ricci, 2)[()])
+        return np.tensordot(self.ginv, self.ricci, 2)[()]
 
     # -- first-order operators -------------------------------------------
 

@@ -132,8 +132,10 @@ def _validate(entry, config):
         raise SuiteUsageError(
             f"suite {config.suite!r} reads {used} radii, got {len(config.radii)}")
     for identity, tol in config.tolerances.items():
-        if not np.isfinite(tol):
-            raise SuiteUsageError(f"tolerance for {identity!r} is not finite")
+        if not np.isfinite(tol) or tol < 0:
+            raise SuiteUsageError(
+                f"tolerance for {identity!r} must be finite and at least 0, "
+                f"got {tol!r}")
 
 
 def _grid_counts(entry, grid):
@@ -295,9 +297,7 @@ def _cone_identities(entry, config):
 def _structures(entry):
     """(identity suffix, structure) per catalogued structure."""
     tagged = len(entry.structures) > 1
-    return [(f":{spec.name}" if tagged else "",
-             contact.ContactMetricStructure(entry.chart, spec.xi, spec.name))
-            for spec in entry.structures]
+    return [(f":{st.name}" if tagged else "", st) for st in entry.structures]
 
 
 def _contact_axioms(entry, config):
@@ -372,9 +372,8 @@ _SCALING_TERMS = ("lap_s_diff", "div_term", "ric_div_term", "ric_anti_sq",
 
 
 def _weitzenboeck(entry, config):
-    spec = entry.structures[0]
-    st = contact.ContactMetricStructure(entry.chart, spec.xi, spec.name)
-    sympl = contact.ConeSymplecticData(cone_mod.build_cone(entry.chart), st)
+    sympl = contact.ConeSymplecticData(cone_mod.build_cone(entry.chart),
+                                       entry.structures[0])
     rng, pts, radii, dirs = _draw(entry, config)
     dirs4 = np.array([rng.unit_vector(entry.chart.dim + 1)
                       for _ in range(len(pts))])
@@ -433,12 +432,8 @@ def _hypersasaki(entry, config):
     rng, pts, radii, _ = _draw(entry, config)
     cpts = _cone_points(pts, radii)
     cn = cone_mod.build_cone(entry.chart)
-
-    def sympl_for(spec):
-        st = contact.ContactMetricStructure(entry.chart, spec.xi, spec.name)
-        return contact.ConeSymplecticData(cn, st)
-
-    pair = pairs.StructurePair(sympl_for(sasakian[0]), sympl_for(sasakian[1]))
+    sympl = [contact.ConeSymplecticData(cn, st) for st in sasakian]
+    pair = pairs.StructurePair(sympl[0], sympl[1])
     # (lambda, |Q - lambda Id|, lambda variation); every later row needs lambda
     anticommutator = cache(lambda: pairs.anticommutator_lambda(pair, cpts))
 
@@ -454,8 +449,7 @@ def _hypersasaki(entry, config):
                         cpts)
 
     def family():
-        third_sympl = sympl_for(sasakian[2])
-        _, resid, unit = pairs.s2_family_coefficients(pair, third_sympl, cpts, lam())
+        _, resid, unit = pairs.s2_family_coefficients(pair, sympl[2], cpts, lam())
         return [np.maximum(resid, unit)], cpts
 
     rows = [
@@ -505,46 +499,49 @@ INTEGRANDS = ("one", "divergence-pairing", "divergence-ricci", "f-term",
 _DIVERGENCE = ("divergence-pairing", "divergence-ricci")
 _NONNEGATIVE = ("f-term", "solved-curvature", "rough-laplacian", "phi-norm")
 
-# One pipeline pass serves every integrand of its family at the same points.
-# Keyed by the points' bytes, so only identical samples share a pass; every
-# reuse is of the pass just made, so a miss drops the one held before it.
-_WDATA_CACHE = {}
 
-
-def _cached_wdata(entry, points, r, order, mode):
-    pts = np.asarray(points, float)
-    key = (entry.key, pts.shape, pts.tobytes(), float(r), order, mode)
-    if key not in _WDATA_CACHE:
-        _WDATA_CACHE.clear()
-        spec = entry.structures[0]
-        st = contact.ContactMetricStructure(entry.chart, spec.xi, spec.name)
-        sympl = contact.ConeSymplecticData(cone_mod.build_cone(entry.chart), st)
-        radii = np.full(len(pts), float(r))
-        _WDATA_CACHE[key] = weitzenboeck.weitzenboeck_data(
-            sympl, pts, radii, order, mode=mode)
-    return _WDATA_CACHE[key]
-
-
-def integrand_values(entry, name, points, r):
-    """Evaluate a named level-set integrand at batched base points."""
-    if name == "one":
-        return np.ones(len(points))
+def integrand_values(entry, name, data, r):
+    """A named integrand at radius r, read from one weitzenboeck_data pass."""
     if name in _DIVERGENCE:
-        data = _cached_wdata(entry, points, r, 4, "divergence")
         vals = data.div_term if name == "divergence-pairing" else data.ric_div_term
         return vals * r**4
-    if name in _NONNEGATIVE:
-        data = _cached_wdata(entry, points, r, weitzenboeck.DEFAULT_ORDER, "full")
-        if name == "f-term":
-            n = entry.n
-            return 2.0 * (2 * n - 2) * (data.s_star * r**2) / r**4
-        if name == "solved-curvature":
-            return data.solved_rpp_sq
-        if name == "rough-laplacian":
-            return data.rough_sq
+    if name == "f-term":
+        return 2.0 * (2 * entry.n - 2) * (data.s_star * r**2) / r**4
+    if name == "solved-curvature":
+        return data.solved_rpp_sq
+    if name == "rough-laplacian":
+        return data.rough_sq
+    if name == "phi-norm":
         return data.phi_sq
     raise SuiteUsageError(
         f"unknown integrand {name!r}; known: {', '.join(INTEGRANDS)}")
+
+
+def _level_set_integrals(entry, r, names, counts):
+    """Quadratures over M_r of integrands of one family, in `names` order.
+
+    Every quadrature call uses the same nodes, so the family's one pipeline
+    pass, made at the first call, serves all of them; "one" needs no pass.
+    """
+    cn = cone_mod.build_cone(entry.chart)
+    sympl = contact.ConeSymplecticData(cn, entry.structures[0])
+    held = []
+
+    def values(name):
+        def fn(pts, rr):
+            if name == "one":
+                return np.ones(len(pts))
+            if not held:
+                order, mode = ((4, "divergence") if name in _DIVERGENCE
+                               else (weitzenboeck.DEFAULT_ORDER, "full"))
+                held.append(weitzenboeck.weitzenboeck_data(
+                    sympl, pts, np.full(len(pts), float(rr)), order, mode=mode))
+            return integrand_values(entry, name, held[0], rr)
+
+        return fn
+
+    return [quadrature.integrate_level_set(cn, r, values(name), counts)
+            for name in names]
 
 
 def integrate_level_set(manifold: str, r: float, integrand: str, grid=None):
@@ -564,33 +561,32 @@ def integrate_level_set(manifold: str, r: float, integrand: str, grid=None):
         counts = entry.quadrature
     else:
         counts = entry.curvature_quadrature
-    cn = cone_mod.build_cone(entry.chart)
-    return quadrature.integrate_level_set(
-        cn, r, lambda pts, rr: integrand_values(entry, integrand, pts, rr),
-        counts)
+    return _level_set_integrals(entry, r, (integrand,), counts)[0]
 
 
 def _integration(entry, config):
     grid = config.grid
     r = float(config.radii[0]) if config.radii else 1.0
+    counts = (_grid_counts(entry, grid) if grid is not None
+              else entry.curvature_quadrature)
 
     def volume():
-        counts = grid if grid is not None else entry.quadrature
-        vol = quadrature.chart_volume(entry.chart, counts)
+        vol = quadrature.chart_volume(
+            entry.chart, grid if grid is not None else entry.quadrature)
         expected = entry.known_values["volume"]
         return [np.array([abs(vol - expected) / abs(expected)])], None
 
-    def integral(name):
-        return lambda: ([np.array([abs(integrate_level_set(entry.key, r, name,
-                                                             grid))])], None)
+    def integrals(names):
+        return lambda: ([np.array([abs(v)]) for v in
+                         _level_set_integrals(entry, r, names, counts)], None)
 
     rows = []
     if entry.known_values.get("volume"):
         rows.append(Row([("volume", "catalog closed form", 1e-9)], volume))
     if entry.key in ("t3-blair", "t3-unnormalized"):
-        rows += [Row([(f"integral-{name}", "level-set integral of Eq. (la)", 1e-6)],
-                     integral(name)) for name in _DIVERGENCE]
+        rows.append(Row([(f"integral-{name}", "level-set integral of Eq. (la)", 1e-6)
+                         for name in _DIVERGENCE], integrals(_DIVERGENCE)))
     if entry.key == "s3-round":
-        rows += [Row([(f"integral-{name}", "level-set integral of Eq. (la)", 1e-8)],
-                     integral(name)) for name in _NONNEGATIVE]
+        rows.append(Row([(f"integral-{name}", "level-set integral of Eq. (la)", 1e-8)
+                         for name in _NONNEGATIVE], integrals(_NONNEGATIVE)))
     return rows

@@ -58,7 +58,6 @@ class WeitzenboeckPointData:
     omega: np.ndarray           # (B, d, d)
     j: np.ndarray               # (B, d, d) endomorphism
     nab_omega: np.ndarray       # (B, d, d, d)
-    rho_star: np.ndarray        # (B, d, d)
     rho: np.ndarray             # (B, d, d)
     ric_anti: np.ndarray        # (B, d, d)
     pairing_form: np.ndarray    # (B, d) <rho*, nab_. Omega>
@@ -70,7 +69,6 @@ class WeitzenboeckPointData:
     rho_phi: np.ndarray = None        # <rho, phi>
     rho_rough: np.ndarray = None      # <rho, nab*nab Omega>
     solved_rpp_sq: np.ndarray = None  # 8|R''|^2 solved from the identity
-    rough: np.ndarray = None          # (B, d, d) nab*nab Omega
     phi: np.ndarray = None            # (B, d, d)
 
 
@@ -164,7 +162,7 @@ def weitzenboeck_data(sympl: ConeSymplecticData, base_pts, radii,
         div_term=div_term.value, ric_div_term=ric_div_term.value,
         ric_anti_sq=norm_squared(gv, giv, ric_anti_v, "ll"),
         omega=tvalues(om), j=tvalues(jj), nab_omega=nab_om_v,
-        rho_star=tvalues(rho_star), rho=tvalues(rho), ric_anti=ric_anti_v,
+        rho=tvalues(rho), ric_anti=ric_anti_v,
         pairing_form=tvalues(sigma), g_values=gv, ginv_values=giv)
     if not full:
         return data
@@ -183,7 +181,7 @@ def weitzenboeck_data(sympl: ConeSymplecticData, base_pts, radii,
               - 4.0 * rho_rough)
     return replace(data, lap_s_diff=lap_v, rough_sq=rough_sq, phi_sq=phi_sq,
                    rho_phi=rho_phi, rho_rough=rho_rough, solved_rpp_sq=solved,
-                   rough=rough_v, phi=phi_v)
+                   phi=phi_v)
 
 
 def _raise2(geo, T):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conelab import catalog, cone, suites, weitzenboeck
+from conelab import catalog, cone, weitzenboeck
 from conelab.cli import main as cli_main
 from conelab.report import SuiteConfig, all_pass, make_report, report_json
 from conelab.suites import (
@@ -186,6 +186,9 @@ def test_cli_list_and_exit_codes(tmp_path, capsys):
                      "--radius", "2"]) == 0
     assert cli_main(["verify", "kcontact", *small,
                      "--tol", "no-such-identity=1"]) == 2
+    # every residual is >= 0, so a negative tolerance could only fail
+    assert cli_main(["verify", "kcontact", *small,
+                     "--tol", "killing-field:i=-1"]) == 2
     tol_config = tmp_path / "tol.json"
     tol_config.write_text(json.dumps({"tolerances": {"no-such-identity": 1}}))
     assert cli_main(["verify", "kcontact", *small,
@@ -287,28 +290,34 @@ def test_reports_do_not_depend_on_jet_order(suite, manifold, orders):
         run_suite(_config(manifold, suite, samples=3, jet_order=orders[0] - 1))
 
 
-def test_integrand_cache_is_keyed_by_content(monkeypatch):
-    """Different points of the same count get their own pipeline pass; a
-    second integrand at the same points reuses the first one's, and only the
-    last pass is kept."""
-    calls = []
+def test_integration_makes_one_pass_per_family_per_run(monkeypatch):
+    """Each run makes one pipeline pass per integrand family and keeps none
+    of it: a second identical run makes its own pass and the same report."""
+    modes = []
     real = weitzenboeck.weitzenboeck_data
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        modes.append(kwargs["mode"])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(weitzenboeck, "weitzenboeck_data", counting)
-    monkeypatch.setattr(suites, "_WDATA_CACHE", {})
-    entry = catalog.get("t3-blair")
-    first = np.array([[0.1, 0.2, 0.3], [1.0, 2.0, 3.0]])
-    second = first + 0.5
-    suites.integrand_values(entry, "divergence-pairing", first, 1.0)
-    suites.integrand_values(entry, "divergence-pairing", second, 1.0)
-    suites.integrand_values(entry, "divergence-ricci", second, 1.0)
-    assert len(calls) == 2
-    assert np.array_equal(calls[1], second)
-    assert len(suites._WDATA_CACHE) == 1
+    for manifold, mode in (("t3-blair", "divergence"), ("s3-round", "full")):
+        modes.clear()
+        config = _config(manifold, "integration", grid=2)
+        first, second = (report_json(config, run_suite(config)) for _ in range(2))
+        assert modes == [mode] * 2
+        assert first == second
+
+
+def test_integrate_path_matches_integration_suite():
+    for manifold in ("t3-blair", "s3-round"):
+        reports = run_suite(_config(manifold, "integration", grid=2, radii=(1.5,)))
+        integrals = [r for r in reports if r.identity.startswith("integral-")]
+        assert integrals
+        for rep in integrals:
+            name = rep.identity.removeprefix("integral-")
+            assert abs(integrate_level_set(manifold, 1.5, name, grid=2)) \
+                == rep.max_residual, (manifold, name)
 
 
 def test_non_finite_residual_is_an_error_with_valid_json():

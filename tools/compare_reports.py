@@ -14,9 +14,15 @@ For each pair it prints both sides' wall seconds, whether the report files
 are byte-equal, whether the identity lists, verdicts and exit codes are
 equal, and each residual that moved, with its shift as a share of the
 benchmark gate's allowance ``max(RTOL * |ref|, ATOL_SHARE * tolerance)``
-(``perfbench/workloads.py``); residuals not listed are equal.  Exits 1 when
-any pair differs in identities, verdicts or exit code, or moves a residual
-beyond that allowance.
+(``perfbench/workloads.py``); residuals not listed are equal.
+
+It then runs ``conelab integrate`` for each named integrand on ``t3-blair``
+and ``s3-round`` at ``--radius 1.7`` with both trees and prints whether the
+two sides' stdout and exit codes are equal.
+
+Exits 1 when any pair differs in identities, verdicts or exit code, moves a
+residual beyond that allowance, or when an ``integrate`` run differs in
+stdout or exit code.
 """
 
 from __future__ import annotations
@@ -38,18 +44,25 @@ SUITES = ("cone-identities", "contact-axioms", "kcontact", "sasaki",
           "weitzenboeck", "integration")
 PAIRS = [(s, m) for s in SUITES for m in MANIFOLDS] + [("hypersasaki", "s3-round")]
 EXTRA_FLAGS = {("weitzenboeck", "s5-round"): ["--samples", "6"]}
+INTEGRANDS = ("one", "divergence-pairing", "divergence-ricci", "f-term",
+              "solved-curvature", "rough-laplacian", "phi-norm")
+INTEGRATE_MANIFOLDS = ("t3-blair", "s3-round")
 
 
-def verify(src, suite, manifold, report):
-    """(exit code, stderr, wall seconds) of one ``conelab verify`` run."""
+def run_conelab(src, args):
+    """(exit code, stdout, stderr, wall seconds) of one ``conelab`` run."""
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
-    cmd = [sys.executable, "-m", "conelab.cli", "verify", suite,
-           "--manifold", manifold, "--report", str(report),
-           *EXTRA_FLAGS.get((suite, manifold), [])]
     start = time.perf_counter()
-    proc = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.PIPE, text=True)
-    return proc.returncode, proc.stderr, time.perf_counter() - start
+    proc = subprocess.run([sys.executable, "-m", "conelab.cli", *args], env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+
+
+def run_both(sides, args_for):
+    """{side: run_conelab result}, the two sides at the same time."""
+    with ThreadPoolExecutor(len(sides)) as pool:
+        return dict(zip(sides, pool.map(
+            lambda side: run_conelab(sides[side], args_for(side)), sides)))
 
 
 def compare(ref_path, new_path):
@@ -85,12 +98,12 @@ def main(argv):
     rows, failed = [], False
     for suite, manifold in PAIRS:
         paths = {side: Path(outdir) / side / f"{suite}.{manifold}.json" for side in sides}
-        with ThreadPoolExecutor(len(sides)) as pool:
-            runs = dict(zip(sides, pool.map(
-                lambda side: verify(sides[side], suite, manifold, paths[side]), sides)))
+        runs = run_both(sides, lambda side: [
+            "verify", suite, "--manifold", manifold, "--report", str(paths[side]),
+            *EXTRA_FLAGS.get((suite, manifold), [])])
         codes = {side: run[0] for side, run in runs.items()}
-        seconds = {side: round(run[2], 2) for side, run in runs.items()}
-        for side, (code, err, _) in runs.items():
+        seconds = {side: round(run[3], 2) for side, run in runs.items()}
+        for side, (code, _, err, _) in runs.items():
             if code not in (0, 1):
                 print(f"{side} {suite}/{manifold} exited {code}: {err.strip()}",
                       file=sys.stderr)
@@ -114,6 +127,22 @@ def main(argv):
               f"residuals moved {len(moved)}{'' if ok else '  VIOLATION'}", flush=True)
         for identity, key, want, got, share in moved:
             print(f"    {identity} {key} {want!r} -> {got!r}: {share:.3g} of allowance")
+    integrate_rows = []
+    for manifold in INTEGRATE_MANIFOLDS:
+        for name in INTEGRANDS:
+            runs = run_both(sides, lambda side: [
+                "integrate", name, "--manifold", manifold, "--radius", "1.7"])
+            codes = {side: run[0] for side, run in runs.items()}
+            stdout = {side: run[1] for side, run in runs.items()}
+            same_out = stdout["parent"] == stdout["change"]
+            ok = same_out and codes["parent"] == codes["change"]
+            failed |= not ok
+            integrate_rows.append({"integrand": name, "manifold": manifold,
+                                   "exit": codes, "stdout": stdout, "ok": ok})
+            print(f"integrate {name:18s} {manifold:16s} "
+                  f"stdout {'equal' if same_out else 'DIFFER':6s} "
+                  f"exit {codes['parent']}/{codes['change']}"
+                  f"{'' if ok else '  VIOLATION'}", flush=True)
     summary = {
         "pairs": len(rows),
         "byte_equal": sum(bool(r.get("byte_equal")) for r in rows),
@@ -122,10 +151,13 @@ def main(argv):
         "violations": [f"{r['suite']}/{r['manifold']}" for r in rows if not r.get("ok")],
         "rule": f"|shift| <= max({RTOL:g} * |ref|, {ATOL_SHARE:g} * tolerance)",
         "rows": rows,
+        "integrate_equal": sum(r["ok"] for r in integrate_rows),
+        "integrate_rows": integrate_rows,
     }
     (Path(outdir) / "summary.json").write_text(json.dumps(summary, indent=1) + "\n")
     print(f"{summary['byte_equal']}/{summary['pairs']} byte-equal; "
-          f"{len(summary['violations'])} violations")
+          f"{len(summary['violations'])} violations; "
+          f"{summary['integrate_equal']}/{len(integrate_rows)} integrate runs equal")
     return 1 if failed else 0
 
 
