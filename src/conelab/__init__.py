@@ -16,7 +16,6 @@ from .contact import (
     build_contact,
 )
 from .errors import (
-    ConeCompletionError,
     DegenerateMetricError,
     DegeneratePairError,
     DomainError,

@@ -21,7 +21,6 @@ from typing import Callable
 import numpy as np
 
 from .chart import ManifoldChart, jet_point
-from .errors import ConeCompletionError
 from .geometry import (
     PointGeometry,
     constant_tensor,
@@ -36,7 +35,6 @@ class ConeChart:
     """Cone over `base`, realised as the derived chart `chart`."""
 
     base: ManifoldChart
-    r_range: tuple
     chart: ManifoldChart
 
     @property
@@ -52,11 +50,7 @@ class ConeChart:
 R_RANGE = (0.25, 4.0)
 
 
-def build_cone(base: ManifoldChart, r_range=R_RANGE) -> ConeChart:
-    lo, hi = r_range
-    if lo <= 0.0:
-        raise ConeCompletionError(
-            "radial range must stay inside (0, inf); the apex is excluded")
+def build_cone(base: ManifoldChart) -> ConeChart:
     d = base.dim
 
     def cone_metric(x):
@@ -72,12 +66,12 @@ def build_cone(base: ManifoldChart, r_range=R_RANGE) -> ConeChart:
     chart = ManifoldChart(
         dim=d + 1,
         coords=base.coords + ("r",),
-        domain=base.domain + ((lo, hi),),
+        domain=base.domain + (R_RANGE,),
         periodic=base.periodic + (None,),
         metric=cone_metric,
         label=f"cone({base.label})",
     )
-    return ConeChart(base, (lo, hi), chart)
+    return ConeChart(base, chart)
 
 
 # -- lifts --------------------------------------------------------------------

@@ -17,10 +17,6 @@ class JetOrderError(EngineError):
     """A derivative was requested beyond the available jet order."""
 
 
-class ConeCompletionError(EngineError):
-    """Cone radial range touches r = 0, which the construction excludes."""
-
-
 class NotContactMetricError(EngineError):
     """Candidate Reeb field violates the contact metric axiom.
 

@@ -6,9 +6,12 @@ is the one entry point; it caches the metric, its inverse, the connection
 and the curvature of a batch of points, and ``tvalues`` reads any of its
 tensors as floats.  Derived tensors are object arrays of jets, so downstream
 operators keep differentiating until the seeded order is exhausted.
-Contractions of jet tensors go through ``np.tensordot``, which folds the
-products in C order of the contracted indices, left operand on the left;
-byte-identical reports rely on that order.
+Contractions go through ``np.tensordot``, elementwise jet arithmetic
+through numpy's object ufuncs (``_addmul``/``_submul`` fuse acc +- x * y),
+folds through ``reduce(np.add, ...)``: each applies one jet operation per
+entry in C order, left operand on the left, from the first term on.  A jet
+product sums in the order of its left factor, so byte-identical reports rely
+on both orders.
 
 Conventions, frozen once and pinned by calibration fixtures in the tests:
 
@@ -52,10 +55,12 @@ def dpartial(T, i):
 
 def grad(T, dim):
     """Coordinate gradient; new first axis runs over d/dx_m."""
-    out = np.empty((dim,) + T.shape, object)
-    for m in range(dim):
-        out[m] = dpartial(T, m)
-    return out
+    return np.stack([dpartial(T, m) for m in range(dim)])
+
+
+# acc + x * y and acc - x * y per entry, one jet product alive at a time
+_addmul = np.frompyfunc(lambda acc, x, y: acc + x * y, 3, 1)
+_submul = np.frompyfunc(lambda acc, x, y: acc - x * y, 3, 1)
 
 
 def constant_tensor(values, dim, order) -> np.ndarray:
@@ -163,20 +168,13 @@ class PointGeometry:
     def gamma(self):
         """Christoffel symbols, gamma[k, i, j] = Gamma^k_ij."""
         d = self.dim
-        g = self.g
-        dg = [dpartial(g, m) for m in range(d)]
-        ginv = tmap(lambda v: v.truncate(self.order - 1), self.ginv)
+        dg = grad(self.g, d)
         out = np.empty((d, d, d), object)
-        for i in range(d):
-            for j in range(i, d):
-                for k in range(d):
-                    acc = None
-                    for l in range(d):
-                        term = ginv[k, l] * (dg[i][j, l] + dg[j][i, l] - dg[l][i, j])
-                        acc = term if acc is None else acc + term
-                    val = 0.5 * acc
-                    out[k, i, j] = val
-                    out[k, j, i] = val
+        # one pair i <= j at a time: a whole [pair, l] sum tensor raised
+        # peak RSS by 0.6 MB on hypersasaki/s3-round
+        for i, j in zip(*np.triu_indices(d)):
+            s = dg[i, j] + dg[j, i] - dg[:, i, j]   # [l]
+            out[:, i, j] = out[:, j, i] = 0.5 * np.tensordot(self.ginv, s, 1)
         return out
 
     @_cached
@@ -184,24 +182,19 @@ class PointGeometry:
         """R[a, i, j, k]: component along dx_a of R(d_i, d_j) d_k."""
         d = self.dim
         gam = self.gamma
-        dgam = [dpartial(gam, m) for m in range(d)]
+        dgam = grad(gam, d)
         out = np.empty((d, d, d, d), object)
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    for a in range(d):
-                        if i == j:
-                            out[a, i, j, k] = (gam[a, i, k] - gam[a, i, k]).truncate(
-                                self.order - 2)
-                            continue
-                        if i > j:
-                            out[a, i, j, k] = -out[a, j, i, k]
-                            continue
-                        acc = dgam[i][a, j, k] - dgam[j][a, i, k]
-                        for b in range(d):
-                            acc = acc + gam[a, i, b] * gam[b, j, k]
-                            acc = acc - gam[a, j, b] * gam[b, i, k]
-                        out[a, i, j, k] = acc
+        diag = np.arange(d)
+        out[:, diag, diag] = tmap(lambda v: (v - v).truncate(self.order - 2), gam)
+        # one [a, k] block per pair i < j, folded in place with fused
+        # products: a product block per term raised peak RSS by up to 1.1 MB
+        for i, j in zip(*np.triu_indices(d, 1)):
+            acc = dgam[i, :, j] - dgam[j, :, i]
+            for b in range(d):
+                _addmul(acc, gam[:, i, b, None], gam[b, j], out=acc)
+                _submul(acc, gam[:, j, b, None], gam[b, i], out=acc)
+            out[:, i, j] = acc
+            out[:, j, i] = -acc
         return out
 
     @_cached
@@ -224,22 +217,18 @@ class PointGeometry:
         p, q = valence
         d = self.dim
         gam = self.gamma
-        DT = grad(T, d)
-        out = np.empty((d,) + T.shape, object)
-        for m in range(d):
-            for idx in np.ndindex(*T.shape):
-                acc = DT[(m,) + idx]
-                for s in range(p):
-                    a = idx[s]
-                    for b in range(d):
-                        swapped = idx[:s] + (b,) + idx[s + 1:]
-                        acc = acc + gam[a, m, b] * T[swapped]
-                for s in range(q):
-                    a = idx[p + s]
-                    for b in range(d):
-                        swapped = idx[:p + s] + (b,) + idx[p + s + 1:]
-                        acc = acc - gam[b, m, a] * T[swapped]
-                out[(m,) + idx] = acc
+        # each entry folds the partial, then one Christoffel term per slot s
+        # and b, in place: no product tensor is ever held
+        out = grad(T, d)
+        for s in range(p + q):
+            shape = [d] + [1] * T.ndim      # Gamma as [m, slot s]
+            shape[s + 1] = d
+            for b in range(d):
+                Tb = np.take(T, [b], axis=s)[None]
+                if s < p:
+                    _addmul(out, gam[:, :, b].T.reshape(shape), Tb, out=out)
+                else:
+                    _submul(out, gam[b].reshape(shape), Tb, out=out)
         return out
 
     def codifferential_oneform(self, sigma):
@@ -251,16 +240,10 @@ class PointGeometry:
         """Geometer's Laplacian of a scalar jet: -trace_g Hess f."""
         if f.order < 2:
             raise JetOrderError("Laplacian needs two derivative orders")
-        d = self.dim
-        df = [f.partial(i) for i in range(d)]
-        gam = self.gamma
-        hess = np.empty((d, d), object)
-        for i in range(d):
-            for j in range(d):
-                h = df[i].partial(j)
-                for k in range(d):
-                    h = h - gam[k, i, j] * df[k]
-                hess[i, j] = h
+        df = np.array([f.partial(i) for i in range(self.dim)], object)
+        # Gamma's symmetric entries are one jet each, so covd's [j, i] entry
+        # is the Hessian's [i, j] product for product
+        hess = self.covd(df, (0, 1)).T
         return -np.tensordot(self.ginv, hess, 2)[()]
 
     # -- index gymnastics ---------------------------------------------------
@@ -285,18 +268,14 @@ def exterior_derivative(T):
 
     (d w)_{i0..ip} = sum_m (-1)^m  d_{i_m} w_{i0..^i_m..ip}
     """
-    dim, degree = T.shape[0], T.ndim
-    shape = (dim,) * (degree + 1)
-    DW = grad(T, dim)
-    out = np.empty(shape, object)
-    for idx in np.ndindex(*shape):
-        acc = None
-        for m in range(degree + 1):
-            term = DW[(idx[m],) + idx[:m] + idx[m + 1:]]
-            if m % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        out[idx] = acc
+    DW = grad(T, T.shape[0])
+    out = DW.copy()   # summed in place: a sum per m would hold one more tensor
+    for m in range(1, T.ndim + 1):
+        moved = np.moveaxis(DW, 0, m)   # moved[i0..ip] = DW[i_m, i0..^i_m..ip]
+        if m % 2:
+            out -= moved
+        else:
+            out += moved
     return out
 
 

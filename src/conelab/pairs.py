@@ -16,6 +16,7 @@ All of that is what these kernels measure, never assume.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -112,17 +113,10 @@ def parallel_third_structure_residuals(pair: StructurePair, points, lam: float):
     geo = PointGeometry(cone.chart, jet_point(cone.chart, points, 3))
     j1 = pair.first.complex_structure(geo)
     j2 = pair.second.complex_structure(geo)
-    d = cone.dim
-    a = np.empty((d, d), object)
-    for x in range(d):
-        for y in range(d):
-            acc = None
-            for m in range(d):
-                t1 = j1[x, m] * j2[m, y]
-                t2 = j2[x, m] * j1[m, y]
-                term = t1 - t2
-                acc = term if acc is None else acc + term
-            a[x, y] = (1.0 / np.sqrt(4.0 - lam**2)) * acc
+    # one [x, y] term per m: a whole [x, m, y] product tensor costs peak memory
+    a = reduce(np.add, (j1[:, m, None] * j2[m] - j2[:, m, None] * j1[m]
+                        for m in range(cone.dim)))
+    a = (1.0 / np.sqrt(4.0 - lam**2)) * a
     nab = tvalues(geo.covd(a, (1, 1)))  # (B, m, a, i)
     nab = np.moveaxis(nab, 2, 1)        # contravariant axis first
     return frame_norm(geo, nab, "ull")

@@ -109,6 +109,8 @@ _RADII_READ = {"weitzenboeck": 2, "integration": 1}
 def _validate(entry, config):
     if config.samples < 1:
         raise SuiteUsageError(f"samples must be at least 1, got {config.samples}")
+    if not 0 <= config.seed < 2**64:
+        raise SuiteUsageError(f"seed must lie in [0, 2**64), got {config.seed}")
     if config.jet_order is not None:
         least = _MIN_JET_ORDER.get(config.suite)
         if least is None:

@@ -103,21 +103,12 @@ def weitzenboeck_data(sympl: ConeSymplecticData, base_pts, radii,
     rlow = geo.riemann_low
     rho_star = np.empty((d, d), object)
     ginv = geo.ginv
-    for i in range(d):
-        for j in range(i + 1, d):
-            acc = None
-            for k in range(d):
-                for m in range(d):
-                    # sum_l Rlow[i,j,k,l] J^l_m g^{km}
-                    inner = None
-                    for l in range(d):
-                        t = rlow[i, j, k, l] * jj[l, m]
-                        inner = t if inner is None else inner + t
-                    term = inner * ginv[k, m]
-                    acc = term if acc is None else acc + term
-            val = (0.5 * RHO_STAR_SIGN) * acc
-            rho_star[i, j] = val
-            rho_star[j, i] = -val
+    for i, j in zip(*np.triu_indices(d, 1)):
+        # sum_{k,m} (sum_l Rlow[i,j,k,l] J^l_m) g^{km}
+        acc = np.tensordot(np.tensordot(rlow[i, j], jj, 1), ginv, 2)[()]
+        val = (0.5 * RHO_STAR_SIGN) * acc
+        rho_star[i, j] = val
+        rho_star[j, i] = -val
     np.fill_diagonal(rho_star, rho_star[0, 1] - rho_star[0, 1])
 
     # s* = <rho*, Omega> full sum (jet level, for the outer Laplacian)

@@ -10,7 +10,6 @@ import pytest
 
 from conelab import cone as C
 from conelab import geometry as G
-from conelab.errors import ConeCompletionError
 from conelab.jets import cos, sin
 
 from .conftest import cone_geometries, geometry, sample
@@ -25,11 +24,6 @@ def tcone(blair):
 @pytest.fixture(scope="module")
 def scone(s3):
     return C.build_cone(s3.chart)
-
-
-def test_apex_is_rejected(blair):
-    with pytest.raises(ConeCompletionError):
-        C.build_cone(blair.chart, (0.0, 1.0))
 
 
 def test_block_metric(tcone, scone, blair, s3):

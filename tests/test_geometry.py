@@ -8,6 +8,7 @@ cross-checked against the finite-difference oracles in oracles.py.
 import numpy as np
 import pytest
 
+from conelab import cone as C
 from conelab import geometry as G
 from conelab.chart import ManifoldChart
 from conelab.errors import JetOrderError
@@ -72,6 +73,85 @@ def test_tensordot_folds_jet_products_like_the_loop():
         assert np.array_equal(two[k].c, fold(pairs))
         # the check can tell fold orders apart: reversed, the bits move
         assert not np.array_equal(two[k].c, fold(pairs[::-1]))
+
+
+def test_jet_product_counts_match_closed_forms(s3, monkeypatch):
+    """Each kernel forms exactly its closed-form number of jet products, so
+    a rewrite that adds or drops one fails here, not only under the
+    benchmark's tracer.  P = d(d+1)/2 pairs i <= j, Q = d(d-1)/2 pairs i < j."""
+    cn = C.build_cone(s3.chart)
+    pts, radii, _ = sample(s3.chart, 5)
+    geo = C.cone_geometry(cn, pts, radii, 4)
+    geo.g, geo.ginv
+    d, calls = geo.dim, [0]
+    P, Q = d * (d + 1) // 2, d * (d - 1) // 2
+
+    def counting(self, other, _mul=Jet.__mul__):
+        calls[0] += 1
+        return _mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counting)
+    monkeypatch.setattr(Jet, "__rmul__", counting)
+
+    def products(fn):
+        before = calls[0]
+        fn()
+        return calls[0] - before
+
+    assert products(lambda: geo.gamma) == d * P * d + d * P == 200
+    assert products(lambda: geo.riemann) == Q * 2 * d**3 == 768
+    assert products(lambda: geo.covd(geo.g, (0, 2))) == 2 * d**4 == 512
+    assert products(lambda: geo.covd(geo.g, (1, 1))) == 2 * d**4
+    f = geo.x[0]
+    assert products(lambda: geo.laplacian_scalar(f)) == d**3 + d**2 == 80
+    assert products(lambda: G.exterior_derivative(geo.g[0])) == 0
+
+
+def test_kernels_fold_like_their_component_loops(s3):
+    """Gamma, R, covd, the Laplacian and d form each entry with the products
+    and fold of a per-component loop, left operand on the left, bit for
+    bit: reports stay byte-identical only while this holds."""
+    cn = C.build_cone(s3.chart)
+    pts, radii, _ = sample(s3.chart, 3)
+    geo = C.cone_geometry(cn, pts, radii, 5)   # enough terms for order to show
+    d, g, gam, ginv = geo.dim, geo.g, geo.gamma, geo.ginv
+    dg, dgam, R = G.grad(g, d), G.grad(gam, d), geo.riemann
+
+    def same(jet, want):
+        assert np.array_equal(jet.c, want.c)
+
+    for k, i, j in np.ndindex(d, d, d):
+        acc = ginv[k, 0] * (dg[i, j, 0] + dg[j, i, 0] - dg[0, i, j])
+        for l in range(1, d):
+            acc = acc + ginv[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
+        same(gam[k, i, j], 0.5 * acc)
+    for a, i, j, k in np.ndindex(d, d, d, d):
+        if i < j:
+            acc = dgam[i, a, j, k] - dgam[j, a, i, k]
+            for b in range(d):
+                acc = acc + gam[a, i, b] * gam[b, j, k]
+                acc = acc - gam[a, j, b] * gam[b, i, k]
+            same(R[a, i, j, k], acc)
+            same(R[a, j, i, k], -acc)
+    nab = geo.covd(g, (1, 1))
+    for m, x, y in np.ndindex(d, d, d):
+        acc = dg[m, x, y]
+        for b in range(d):
+            acc = acc + gam[x, m, b] * g[b, y]
+        for b in range(d):
+            acc = acc - gam[b, m, y] * g[x, b]
+        same(nab[m, x, y], acc)
+    f = geo.x[0] * geo.x[d - 1]
+    df = [f.partial(i) for i in range(d)]
+    hess = np.empty((d, d), object)
+    for i, j in np.ndindex(d, d):
+        hess[i, j] = df[i].partial(j)
+        for k in range(d):
+            hess[i, j] = hess[i, j] - gam[k, i, j] * df[k]
+    same(geo.laplacian_scalar(f), -np.tensordot(geo.ginv, hess, 2)[()])
+    dw = G.exterior_derivative(g[0])
+    for i, j in np.ndindex(d, d):
+        same(dw[i, j], dg[i, 0, j] + -dg[j, 0, i])
 
 
 def test_christoffel_sphere_pinned(sphere2):

@@ -154,6 +154,8 @@ def test_cli_list_and_exit_codes(tmp_path, capsys):
     # bad sample counts, jet orders, grids, radii and config files too
     for suite, flags in (("kcontact", ["--samples", "0"]),
                          ("kcontact", ["--samples", "-3"]),
+                         ("kcontact", ["--seed", "-1"]),
+                         ("kcontact", ["--seed", "18446744073709551616"]),
                          ("cone-identities", ["--jet-order", "-1"]),
                          ("cone-identities", ["--jet-order", "1"]),
                          ("weitzenboeck", ["--jet-order", "3"]),

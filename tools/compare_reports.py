@@ -8,13 +8,15 @@ six suites on the four catalog manifolds plus ``hypersasaki`` on
 ``s3-round``, with ``weitzenboeck`` on ``s5-round`` at ``--samples 6``.  The
 two sides of a pair run at the same time, one process each.  Reports go to
 ``OUTDIR/parent`` and ``OUTDIR/change``, and a summary, with each side's
-wall seconds per pair (process start to exit), to ``OUTDIR/summary.json``.
+wall seconds per pair (process start to exit) and peak RSS in MB (the
+child's ``ru_maxrss`` from ``os.wait4``), to ``OUTDIR/summary.json``.
 
-For each pair it prints both sides' wall seconds, whether the report files
-are byte-equal, whether the identity lists, verdicts and exit codes are
-equal, and each residual that moved, with its shift as a share of the
-benchmark gate's allowance ``max(RTOL * |ref|, ATOL_SHARE * tolerance)``
-(``perfbench/workloads.py``); residuals not listed are equal.
+For each pair it prints both sides' wall seconds and peak RSS, whether the
+report files are byte-equal, whether the identity lists, verdicts and exit
+codes are equal, and each residual that moved, with its shift as a share of
+the benchmark gate's allowance ``max(RTOL * |ref|, ATOL_SHARE * tolerance)``
+(``perfbench/workloads.py``); residuals not listed are equal.  Peak RSS gates
+nothing.
 
 It then runs ``conelab integrate`` for each named integrand on ``t3-blair``
 and ``s3-round`` at ``--radius 1.7`` with both trees and prints whether the
@@ -31,6 +33,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -50,12 +53,19 @@ INTEGRATE_MANIFOLDS = ("t3-blair", "s3-round")
 
 
 def run_conelab(src, args):
-    """(exit code, stdout, stderr, wall seconds) of one ``conelab`` run."""
+    """(exit code, stdout, stderr, wall seconds, peak RSS MB) of one ``conelab`` run."""
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "conelab.cli", *args], env=env,
-                          capture_output=True, text=True)
-    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "conelab.cli", *args],
+                                env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        seconds = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return (proc.returncode, out.read().decode(), err.read().decode(), seconds,
+                usage.ru_maxrss / 1024.0)
 
 
 def run_both(sides, args_for):
@@ -103,24 +113,26 @@ def main(argv):
             *EXTRA_FLAGS.get((suite, manifold), [])])
         codes = {side: run[0] for side, run in runs.items()}
         seconds = {side: round(run[3], 2) for side, run in runs.items()}
-        for side, (code, _, err, _) in runs.items():
+        rss = {side: round(run[4], 1) for side, run in runs.items()}
+        for side, (code, _, err, *_) in runs.items():
             if code not in (0, 1):
                 print(f"{side} {suite}/{manifold} exited {code}: {err.strip()}",
                       file=sys.stderr)
         if any(code not in (0, 1) for code in codes.values()):
             failed = True
             rows.append({"suite": suite, "manifold": manifold, "exit": codes,
-                         "wall_s": seconds})
+                         "wall_s": seconds, "peak_rss_mb": rss})
             continue
         byte_equal = paths["parent"].read_bytes() == paths["change"].read_bytes()
         same, moved = compare(paths["parent"], paths["change"])
         ok = same and codes["parent"] == codes["change"] and all(m[4] <= 1.0 for m in moved)
         failed |= not ok
         rows.append({"suite": suite, "manifold": manifold, "exit": codes,
-                     "wall_s": seconds, "byte_equal": byte_equal,
+                     "wall_s": seconds, "peak_rss_mb": rss, "byte_equal": byte_equal,
                      "identities_and_verdicts_equal": same, "moved": moved, "ok": ok})
         print(f"{suite:16s} {manifold:16s} "
               f"{seconds['parent']:7.2f}/{seconds['change']:<7.2f} s "
+              f"{rss['parent']:6.1f}/{rss['change']:<6.1f} MB "
               f"bytes {'equal' if byte_equal else 'DIFFER':6s} "
               f"identities/verdicts {'equal' if same else 'DIFFER':6s} "
               f"exit {codes['parent']}/{codes['change']} "
