@@ -12,12 +12,25 @@ prefix of rows.  A product works in degree blocks: the left multi-indices of
 degree p pair with the right multi-indices of degree <= order - p, which are
 again a prefix, so each block is one broadcast multiply into a shared
 ``(pairs, batch)`` buffer, and one sparse sum adds every pair into the
-coefficient of its summed multi-index.  A product with an identically zero
-factor returns zeros without multiplying, unless a factor holds a NaN or inf,
-whose product must still propagate.  Analytic primitives (sin, exp, sqrt,
+coefficient of its summed multi-index.  Analytic primitives (sin, exp, sqrt,
 reciprocal, ...) are Horner evaluations of the outer function's univariate
 Taylor series in the zero-constant part of the argument; on polynomial data
 the arithmetic is exact up to roundoff.
+
+Structural zeros are common (constant chart entries, the cone's radial
+blocks), so each jet caches two facts about its coefficients: whether all
+are zero and whether all are finite.  Each is scanned at most once, and only
+when asked; operations that know a fact hand it on.  The zero rule: a product
+with an identically zero factor returns fresh zeros without multiplying, as
+long as both truncated factors are finite (a NaN or inf must still
+propagate), and the result is known zero.  A sum with a zero operand returns
+the other operand, truncated and if need be broadcast, without adding.
+Negation keeps both facts (a zero jet is its own negation), truncation keeps
+zero and finite, and a zero jet's partial is zero.  ``_compose`` is the one
+code that writes coefficients after construction: it zeroes the value row of
+its own copy of the argument before any fact about it is known, and adds each
+series coefficient into the value row of a fresh product, dropping that
+product's facts as it does.
 
 Extracting a partial derivative lowers the available order by the derivative
 degree; going past order 0 raises ``JetOrderError``.
@@ -115,9 +128,11 @@ class _JetTable:
         return self._diff
 
 
-def _is_zero(c):
-    # the value row first: most nonzero jets are settled by one scan of it
-    return not (c[0].any() or c.any())
+def _batch(m, n):
+    """The batch of a result from operands of batches m and n."""
+    if m != n and 1 not in (m, n):
+        raise ValueError(f"jet batches {m} and {n} do not broadcast")
+    return max(m, n)
 
 
 def _as_batch(value):
@@ -130,14 +145,17 @@ def _as_batch(value):
 class Jet:
     """One truncated Taylor expansion, batched over sample points."""
 
-    __slots__ = ("dim", "order", "c")
+    __slots__ = ("dim", "order", "c", "_zero", "_finite")
     __array_ufunc__ = None  # keep numpy from broadcasting over us
     __array_priority__ = 1000
 
-    def __init__(self, dim, order, c):
+    def __init__(self, dim, order, c, zero=None, finite=None):
         self.dim = dim
         self.order = order
         self.c = c  # C-contiguous, shape (sizes[order], batch)
+        # cached facts about c: None until known
+        self._zero = zero
+        self._finite = True if zero else finite
 
     # -- construction -----------------------------------------------------
 
@@ -196,16 +214,36 @@ class Jet:
                 fac *= m
         return self.coefficient(alpha) * fac
 
+    def is_zero(self):
+        """Whether every coefficient is zero; scanned at most once."""
+        if self._zero is None:
+            c = self.c
+            # the value row first: most nonzero jets are settled by one scan of it
+            self._zero = not (c[0].any() or c.any())
+            if self._zero:
+                self._finite = True
+        return self._zero
+
+    def is_finite(self):
+        """Whether no coefficient is NaN or inf; scanned at most once."""
+        if self._finite is None:
+            self._finite = bool(np.isfinite(self.c).all())
+        return self._finite
+
     def truncate(self, order):
         if order >= self.order:
             return self
         tab = _table(self.dim, self.order)
-        return Jet(self.dim, order, self.c[: tab.sizes[order]])
+        # zero and finite survive truncation; nonzero and non-finite need not
+        return Jet(self.dim, order, self.c[: tab.sizes[order]],
+                   self._zero or None, self._finite or None)
 
     def partial(self, i):
         """Jet of df/dx_i; available order drops by one."""
         if self.order < 1:
             raise JetOrderError("derivative requested beyond jet order")
+        if self._zero:
+            return self.truncate(self.order - 1)
         src, fac = _table(self.dim, self.order).diff[i]
         n = _table(self.dim, self.order).sizes[self.order - 1]
         return Jet(self.dim, self.order - 1, self.c[src[:n]] * fac[:n, None])
@@ -228,12 +266,27 @@ class Jet:
             c[0] += v
             return Jet(self.dim, self.order, c)
         order = min(self.order, o.order)
-        return Jet(self.dim, order, self.truncate(order).c + o.truncate(order).c)
+        x, y = self.truncate(order), o.truncate(order)
+        if y.is_zero():
+            return x._widen(_batch(x.batch, y.batch))
+        if x.is_zero():
+            return y._widen(_batch(x.batch, y.batch))
+        return Jet(self.dim, order, x.c + y.c)
 
     __radd__ = __add__
 
+    def _widen(self, batch):
+        """This jet, or a copy broadcast to a larger batch."""
+        if batch == self.batch:
+            return self
+        c = np.empty((len(self.c), batch))
+        c[:] = self.c
+        return Jet(self.dim, self.order, c, self._zero, self._finite)
+
     def __neg__(self):
-        return Jet(self.dim, self.order, -self.c)
+        if self._zero:
+            return self
+        return Jet(self.dim, self.order, -self.c, self._zero, self._finite)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -np.asarray(other, float))
@@ -247,12 +300,12 @@ class Jet:
             w = _as_batch(other)
             return Jet(self.dim, self.order, self.c * w[None, :])
         order = min(self.order, o.order)
-        a = self.truncate(order).c
-        b = o.truncate(order).c
-        batch = max(a.shape[1], b.shape[1])
+        x, y = self.truncate(order), o.truncate(order)
+        a, b = x.c, y.c
+        batch = _batch(x.batch, y.batch)
         # A fresh array: _compose writes into the product's value row.
-        if (_is_zero(a) or _is_zero(b)) and np.isfinite(a).all() and np.isfinite(b).all():
-            return Jet(self.dim, order, np.zeros((len(a), batch)))
+        if (x.is_zero() or y.is_zero()) and x.is_finite() and y.is_finite():
+            return Jet(self.dim, order, np.zeros((len(a), batch)), zero=True)
         blocks, scatter = _table(self.dim, order).mul
         prod = np.empty((scatter.shape[1], batch))
         start = 0
@@ -294,6 +347,7 @@ class Jet:
         for k in range(len(series) - 2, -1, -1):
             out = out * u
             out.c[0] += series[k]
+            out._zero = out._finite = None  # the write outdates them
         return out
 
     def sin(self):

@@ -102,6 +102,10 @@ def _entry(manifold):
 # the only suites whose kernels take their jet order from the config, with
 # the least order that seeds every derivative they take
 _MIN_JET_ORDER = {"cone-identities": 2, "weitzenboeck": 4}
+# exact jets give the same reports at any order above a suite's minimum, and
+# the product tables grow as C(order + 2 dim, 2 dim): at order 99 on a 4-dim
+# cone, building them ran for over a minute, so orders past this are refused
+_MAX_JET_ORDER = 8
 # how many of the config's radii each suite reads; the others read none
 _RADII_READ = {"weitzenboeck": 2, "integration": 1}
 
@@ -121,6 +125,9 @@ def _validate(entry, config):
             raise SuiteUsageError(
                 f"suite {config.suite!r} needs jet order at least {least}, "
                 f"got {config.jet_order}")
+        if config.jet_order > _MAX_JET_ORDER:
+            raise SuiteUsageError(
+                f"jet order must be at most {_MAX_JET_ORDER}, got {config.jet_order}")
     if config.grid is not None:
         if config.suite != "integration":
             raise SuiteUsageError(

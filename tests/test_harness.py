@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conelab import catalog, cone, weitzenboeck
+from conelab import catalog, cone, jets, weitzenboeck
 from conelab.cli import main as cli_main
 from conelab.report import SuiteConfig, all_pass, make_report, report_json
 from conelab.suites import (
+    _MAX_JET_ORDER,
     SUITES,
     SuiteUsageError,
     integrate_level_set,
@@ -290,6 +291,19 @@ def test_reports_do_not_depend_on_jet_order(suite, manifold, orders):
     # error, not a wall of `error` verdicts
     with pytest.raises(SuiteUsageError):
         run_suite(_config(manifold, suite, samples=3, jet_order=orders[0] - 1))
+
+
+def test_jet_order_above_the_ceiling_is_a_usage_error():
+    """The product tables grow as C(order + 2 dim, 2 dim), so an order past
+    the ceiling is refused before any jet table is built; the ceiling runs."""
+    tables = jets._table.cache_info().currsize
+    for suite, order in (("cone-identities", 99),
+                         ("weitzenboeck", _MAX_JET_ORDER + 1)):
+        assert cli_main(["verify", suite, "--manifold", "s3-round",
+                         "--jet-order", str(order), "--samples", "2"]) == 2
+    assert jets._table.cache_info().currsize == tables
+    assert cli_main(["verify", "cone-identities", "--manifold", "s3-round",
+                     "--jet-order", str(_MAX_JET_ORDER), "--samples", "2"]) == 0
 
 
 def test_integration_makes_one_pass_per_family_per_run(monkeypatch):

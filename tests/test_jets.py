@@ -1,5 +1,7 @@
 """Truncated-Taylor arithmetic against closed forms and random polynomials."""
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,148 @@ def test_zero_factor_propagates_non_finite_and_returns_a_fresh_array():
     assert not (zero * b).c.any()
     assert not zero.c.any()
     assert np.array_equal(b.coeffs, rows)
+
+
+def dense_sum(dim, order_a, a, order_b, b):
+    """Truncated sum of two (batch, ncoef) arrays, broadcasting batch 1."""
+    n = len(_table(dim, min(order_a, order_b)).exps)
+    return a[:, :n] + b[:, :n]
+
+
+@st.composite
+def chain_cases(draw):
+    dim = draw(st.integers(1, 4))
+    top = max(k for k in range(6) if len(_table(dim, k).exps) <= 56)
+    orders = draw(st.tuples(*[st.integers(0, top)] * 3))
+    batch = draw(st.integers(1, 4))
+    batches = draw(st.tuples(*[st.sampled_from([1, batch])] * 3))
+    zeros = draw(st.tuples(*[st.booleans()] * 3))
+    # one NaN or inf in one factor: which factor, where in its coefficients
+    # (possibly above the order that a product keeps), and which value
+    bad = draw(st.none() | st.tuples(st.integers(0, 2), st.floats(0, 1, exclude_max=True),
+                                     st.sampled_from([np.nan, np.inf, -np.inf])))
+    return dim, orders, batches, zeros, bad, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(chain_cases())
+def test_chains_of_operations_match_dense_oracles(case):
+    """Products of products, sums with zero operands and negation reuse each
+    jet's cached zero and finite facts across operations; every result still
+    equals the dense oracle, NaN and inf included."""
+    dim, orders, batches, zeros, bad, seed = case
+    rng = np.random.default_rng(seed)
+    low = len(_table(dim, min(orders)).exps)
+    rows = [rng.normal(size=(n, len(_table(dim, k).exps))) for n, k in zip(batches, orders)]
+    for c, zero in zip(rows, zeros):
+        if zero:
+            c[:, :low] = 0.0
+    if bad is not None:
+        which, where, value = bad
+        rows[which][-1, int(where * rows[which].shape[1])] = value
+    x, y, z = (jet_from_rows(dim, k, c) for k, c in zip(orders, rows))
+    (ox, oy, oz), (a, b, c) = orders, rows
+
+    def check(jet, order, want):
+        assert jet.order == order and jet.coeffs.shape == want.shape
+        np.testing.assert_allclose(jet.coeffs, want, rtol=1e-12, atol=1e-12)
+        if not want.any():
+            assert np.array_equal(jet.coeffs, want)
+
+    oxy, oall = min(ox, oy), min(orders)
+    with np.errstate(invalid="ignore", over="ignore"):
+        xy = convolution(dim, ox, a, oy, b)
+        want = {
+            "xy": xy,
+            "xy*z": convolution(dim, oxy, xy, oz, c),
+            "xy+z": dense_sum(dim, oxy, xy, oz, c),
+            "-xy": -xy,
+            "-xy*z": convolution(dim, oxy, -xy, oz, c),
+            "z-xy": dense_sum(dim, oz, c, oxy, -xy),
+        }
+        for _ in range(2):  # the second round reads every fact from the cache
+            p = x * y
+            check(p, oxy, want["xy"])
+            check(p * z, oall, want["xy*z"])
+            check(z * p, oall, want["xy*z"])
+            check(p + z, oall, want["xy+z"])
+            check(z + p, oall, want["xy+z"])
+            check(-p, oxy, want["-xy"])
+            check((-p) * z, oall, want["-xy*z"])
+            check(z - p, oall, want["z-xy"])
+            check((x * y) * z, oall, want["xy*z"])
+
+
+def test_exp_of_a_constant_is_nonzero_after_the_horner_writes():
+    """Every Horner product of exp(const) has a zero factor, so each is
+    marked zero before _compose writes its value row; the write must drop
+    that mark, or the result would multiply as zero."""
+    dim, order = 2, 3
+    c = np.array([0.5, -1.0])
+    e = Jet.constant(c, dim, order).exp()
+    want = np.zeros((2, len(_table(dim, order).exps)))
+    want[:, 0] = np.exp(c)
+    assert np.array_equal(e.coeffs, want)
+    assert not e.is_zero() and e.is_finite()
+    x, y = Jet.variables([[0.3, 0.7], [1.1, -0.2]], order)
+    np.testing.assert_allclose((e * y).coeffs, convolution(dim, order, want, order, y.coeffs),
+                               rtol=1e-15)
+    assert np.array_equal((e + x * 0.0).coeffs, want)
+
+
+def test_truncate_negate_and_partial_keep_zero_known():
+    dim, order = 3, 4
+    x = Jet.variables([[0.2, 0.4, 0.6]] * 3, order)[0]
+    zero = Jet.constant(0.0, dim, order) * x  # short-circuit: known zero
+    assert zero._zero and zero._finite
+    assert -zero is zero
+    for jet, k in ((zero.truncate(2), 2), (zero.partial(1), order - 1),
+                   (zero.partial(0).partial(2), order - 2)):
+        assert jet.order == k and jet._zero and jet._finite
+        assert jet.coeffs.shape == (3, len(_table(dim, k).exps)) and not jet.c.any()
+    # a known-finite jet stays finite under truncation
+    assert x.is_finite() and x.truncate(1)._finite
+
+
+def test_non_finite_above_the_kept_order_short_circuits_as_the_oracle_says():
+    dim = 2
+    n2, n4 = (len(_table(dim, k).exps) for k in (2, 4))
+    zero = jet_from_rows(dim, 2, np.zeros((2, n2)))
+    rows = np.random.default_rng(8).normal(size=(2, n4))
+    for index, value in ((n2, np.nan), (n4 - 1, np.inf), (n2 - 1, np.nan), (0, -np.inf)):
+        bad = rows.copy()
+        bad[1, index] = value
+        jet = jet_from_rows(dim, 4, bad)
+        assert not jet.is_finite()  # cached on the full jet, not its truncation
+        with np.errstate(invalid="ignore"):
+            want = convolution(dim, 2, np.zeros((2, n2)), 4, bad)
+            for prod in (zero * jet, jet * zero):
+                np.testing.assert_array_equal(prod.coeffs, want)
+        # NaN reaches the product only from the kept order
+        assert np.isnan(want).any() == (index < n2)
+
+
+def test_sum_with_a_zero_operand_equals_the_dense_sum():
+    dim = 2
+    rng = np.random.default_rng(9)
+    for (ox, bx), (oz, bz) in (((3, 3), (3, 3)), ((4, 3), (2, 3)), ((2, 1), (3, 1)),
+                               ((3, 1), (3, 4)), ((2, 1), (4, 4)), ((3, 4), (2, 1))):
+        a = rng.normal(size=(bx, len(_table(dim, ox).exps)))
+        zero_rows = np.zeros((bz, len(_table(dim, oz).exps)))
+        x, zero = jet_from_rows(dim, ox, a), jet_from_rows(dim, oz, zero_rows)
+        want = dense_sum(dim, ox, a, oz, zero_rows)
+        for total in (x + zero, zero + x, x - zero, zero - (-x)):
+            assert total.order == min(ox, oz)
+            assert np.array_equal(total.coeffs, want)
+            assert total.c.flags.c_contiguous
+    # batches that do not broadcast are refused, whether or not an operand is zero
+    x = jet_from_rows(dim, 2, rng.normal(size=(3, 6)))
+    for other in (np.zeros((2, 6)), rng.normal(size=(2, 6))):
+        y = jet_from_rows(dim, 2, other)
+        for pair in ((x, y), (y, x)):
+            for op in (operator.add, operator.mul):
+                with pytest.raises(ValueError):
+                    op(*pair)
 
 
 def test_product_matches_convolution_at_every_dim_and_order():
