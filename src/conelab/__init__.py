@@ -9,21 +9,14 @@ differentiation throughout.
 from .chart import ManifoldChart, jet_point
 from .catalog import CatalogEntry
 from .cone import ConeChart, build_cone, lift_form
-from .contact import (
-    ConeSymplecticData,
-    ContactMetricStructure,
-    build_cone_symplectic,
-    build_contact,
-)
+from .contact import ConeSymplecticData, ContactMetricStructure
 from .errors import (
     DegenerateMetricError,
     DegeneratePairError,
     DomainError,
     EngineError,
     ImpossiblePairError,
-    IncompatibleStructureError,
     JetOrderError,
-    NotContactMetricError,
 )
 from .jets import Jet
 from .pairs import StructurePair, anticommutator_lambda

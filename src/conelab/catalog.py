@@ -169,13 +169,12 @@ def s3_reeb_k() -> Callable:
     return _vec(comps)
 
 
-def s3_reeb_combination(a: float, b: float, c: float) -> Callable:
-    """Unit combination a*i + b*j + c*k of the ambient quaternion fields."""
-    fi, fj, fk = s3_reeb_i(), s3_reeb_j(), s3_reeb_k()
+def reeb_combination(structures, coeffs) -> Callable:
+    """Reeb field sum_k coeffs[k] * xi_k, summed left to right per component."""
 
     def comps(x):
-        vi, vj, vk = fi(x), fj(x), fk(x)
-        return [a * vi[m] + b * vj[m] + c * vk[m] for m in range(3)]
+        terms = [[c * v for v in st.xi(x)] for c, st in zip(coeffs, structures)]
+        return [sum(column[1:], column[0]) for column in zip(*terms)]
 
     return _vec(comps)
 

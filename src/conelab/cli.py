@@ -1,6 +1,6 @@
 """Command line interface.
 
-    conelab verify <suite> --manifold <id> [--radius r ...] [--grid N]
+    conelab verify <suite> [--manifold <id>] [--radius r ...] [--grid N]
                    [--jet-order K] [--tol id=val ...] [--seed S]
                    [--samples N] [--report path.json] [--config file]
     conelab list
@@ -9,9 +9,11 @@
 Exit codes: 0 all identities pass, 1 failures or engine errors, 2 usage
 (including sample counts, grid counts or radii out of range, a jet order
 below the suite's minimum, a grid or jet order given to a suite that does
-not read it, and a config file that is not a JSON object or has a field of
-the wrong JSON type).  The reason for each `error` verdict goes to stderr.
-A JSON config file may supply the same fields as the flags; flags win.
+not read it, weitzenboeck radii that are not two distinct values, no
+manifold from either the flag or the config file, and a config file that is
+not a JSON object, has a field it does not know or has a field of the wrong
+JSON type).  The reason for each `error` verdict goes to stderr.  A JSON
+config file may supply the same fields as the flags; flags win.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ def build_parser():
 
     verify = sub.add_parser("verify", help="run an identity suite")
     verify.add_argument("suite", help=f"one of: {', '.join(SUITES)}")
-    verify.add_argument("--manifold", required=True)
+    verify.add_argument("--manifold", default=None,
+                        help="catalog id; may come from the config file instead")
     verify.add_argument("--radius", action="append", type=float, default=None)
     verify.add_argument("--grid", default=None)
     verify.add_argument("--jet-order", type=int, default=None)
@@ -89,13 +92,18 @@ def build_parser():
 def _load_config(args) -> SuiteConfig:
     """Flags over the fields of the JSON config file.
 
-    Each field the file sets is type-checked even where a flag overrides it;
-    null leaves a field at its default.
+    The file may set only the fields below, so a misspelt key is an error
+    rather than a silent default.  Each field it sets is type-checked
+    even where a flag overrides it; null leaves a field at its default.
     """
     base = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             base = _typed(json.load(fh), dict, "the config file's content")
+    unknown = sorted(set(base) - {"manifold", "grid", "radii", "jet_order",
+                                  "tolerances", "seed", "samples"})
+    if unknown:
+        raise SuiteUsageError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
 
     def pick(flag, key, kinds, default=None):
         value = base.get(key)
@@ -105,8 +113,11 @@ def _load_config(args) -> SuiteConfig:
             _typed(value, kinds, f"config field {key!r}")
         return value if flag is None else flag
 
-    cfg = SuiteConfig(manifold=pick(args.manifold or None, "manifold", str, ""),
-                      suite=args.suite)
+    manifold = pick(args.manifold or None, "manifold", str)
+    if not manifold:
+        raise SuiteUsageError("no manifold: give --manifold or a config "
+                              "file field 'manifold'")
+    cfg = SuiteConfig(manifold=manifold, suite=args.suite)
     cfg.grid = pick(_parse_grid(args.grid), "grid", (int, list))
     radii = pick(args.radius, "radii", list)
     if radii:

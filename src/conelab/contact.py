@@ -1,11 +1,12 @@
 """Contact metric structures and their cone symplectic data.
 
-A candidate Reeb field xi on a chart (dim 2n+1) is promoted to a contact
-metric structure by deriving eta = g(xi, .) and the endomorphism phi from
-half the exterior derivative of eta (solve g(phi X, Y) = (d eta)(X, Y) / 2),
-then validating the defining axiom phi^2 = -Id + eta (x) xi at probe points.
-Classification is by residual magnitude, never a bare boolean: the engine
-reports how badly an axiom fails and where.
+A candidate Reeb field xi on a chart (dim 2n+1) carries the fields of a
+contact metric structure: eta = g(xi, .) and the endomorphism phi solved
+from half the exterior derivative of eta (g(phi X, Y) = (d eta)(X, Y) / 2).
+Nothing here decides whether the candidate is one.  The kernels below
+measure each axiom and hypothesis as a residual per point, and the suites
+classify by residual magnitude, never by a bare boolean: their reports say
+how badly an axiom fails and where.
 
 On the cone the structure induces the 2-form
 
@@ -24,8 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .chart import ManifoldChart, jet_point
-from .cone import ConeChart, build_cone
-from .errors import IncompatibleStructureError, NotContactMetricError
+from .cone import ConeChart
 from .geometry import (
     PointGeometry,
     exterior_derivative,
@@ -35,12 +35,11 @@ from .geometry import (
     tvalues,
 )
 from .jets import Jet
-from .rng import SplitMix64
 
 
 @dataclass(frozen=True)
 class ContactMetricStructure:
-    """Validated (xi, eta, phi) bundle on a chart."""
+    """Candidate (xi, eta, phi) bundle on a chart; the suites classify it."""
 
     chart: ManifoldChart
     xi: Callable  # jet coordinates -> contravariant components
@@ -122,32 +121,6 @@ def reeb_residuals(structure, points):
             "reeb-interior": interior}
 
 
-def build_contact(chart: ManifoldChart, xi: Callable,
-                  name: str = "xi") -> ContactMetricStructure:
-    """Validate the axioms at 50 probe points; raise with a witness on failure."""
-    pts = chart.sample_points(50, SplitMix64(515))
-    candidate = ContactMetricStructure(chart, xi, name)
-    unit = unit_length_residuals(candidate, pts)
-    if np.max(unit) > 1e-9:
-        k = int(np.argmax(unit))
-        raise NotContactMetricError(
-            f"|xi| != 1 (residual {unit[k]:.3e})", residual=float(unit[k]),
-            witness=tuple(pts[k]))
-    kc = kc_residuals(candidate, pts)
-    if np.max(kc) > 1e-6:
-        k = int(np.argmax(kc))
-        raise NotContactMetricError(
-            f"phi^2 != -Id + eta (x) xi (residual {kc[k]:.3e} at {tuple(pts[k])})",
-            residual=float(kc[k]), witness=tuple(pts[k]))
-    reeb = reeb_residuals(candidate, pts)
-    worst = max(float(np.max(v)) for v in reeb.values())
-    if worst > 1e-6:
-        raise NotContactMetricError(
-            f"derived Reeb conditions failed (residual {worst:.3e})",
-            residual=worst)
-    return candidate
-
-
 def killing_residuals(structure, points):
     """Max orthonormal component of L_xi g per point."""
     geo = PointGeometry(structure.chart, jet_point(structure.chart, points, 2))
@@ -220,23 +193,6 @@ class ConeSymplecticData:
 def _base_view(cone: ConeChart, geo: PointGeometry) -> PointGeometry:
     """Base-chart geometry over the base slice of cone jet coordinates."""
     return PointGeometry(cone.base, geo.x[:-1])
-
-
-def build_cone_symplectic(structure: ContactMetricStructure) -> ConeSymplecticData:
-    """Check J^2 = -Id at 25 probe points of the cone; raise on failure."""
-    cone = build_cone(structure.chart)
-    data = ConeSymplecticData(cone, structure)
-    pts = cone.chart.sample_points(25, SplitMix64(1202))
-    geo = PointGeometry(cone.chart, jet_point(cone.chart, pts, 2))
-    j = tvalues(data.complex_structure(geo))
-    d = cone.dim
-    defect = np.einsum("bam,bmi->bai", j, j) + np.eye(d)[None, :, :]
-    worst = np.max(frame_norm(geo, defect, "ul"))
-    if worst > 1e-8:
-        raise IncompatibleStructureError(
-            f"J^2 + Id residual {worst:.3e}; base structure violates the "
-            "contact metric axiom")
-    return data
 
 
 def symplectic_residuals(data: ConeSymplecticData, points):

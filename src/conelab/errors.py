@@ -17,22 +17,6 @@ class JetOrderError(EngineError):
     """A derivative was requested beyond the available jet order."""
 
 
-class NotContactMetricError(EngineError):
-    """Candidate Reeb field violates the contact metric axiom.
-
-    Carries the largest residual and the point where it occurred.
-    """
-
-    def __init__(self, message, residual=None, witness=None):
-        super().__init__(message)
-        self.residual = residual
-        self.witness = witness
-
-
-class IncompatibleStructureError(EngineError):
-    """Cone 2-form failed compatibility (J^2 != -Id)."""
-
-
 class DegeneratePairError(EngineError):
     """Two structures coincide up to sign; no third structure exists."""
 

@@ -136,8 +136,14 @@ def _validate(entry, config):
         _grid_counts(entry, config.grid)
     for r in config.radii:
         _check_radius(r)
+    radii = tuple(config.radii)
+    if config.suite == "weitzenboeck" and (len(radii) != 2 or radii[0] == radii[1]):
+        # the radial identities compare a pass at r1 with one at r2, and at
+        # r1 = r2 they hold with residual 0 whatever the code computes
+        raise SuiteUsageError(
+            f"suite 'weitzenboeck' needs two distinct radii, got {radii!r}")
     used = _RADII_READ.get(config.suite, 0)
-    if len(config.radii) > used and tuple(config.radii) != SuiteConfig.radii:
+    if len(radii) > used and radii != SuiteConfig.radii:
         raise SuiteUsageError(
             f"suite {config.suite!r} reads {used} radii, got {len(config.radii)}")
     for identity, tol in config.tolerances.items():
@@ -389,7 +395,7 @@ def _weitzenboeck(entry, config):
     cpts = _cone_points(pts, radii)
     order = config.jet_order or weitzenboeck.DEFAULT_ORDER
     # radial structure: two more passes at fixed radii over the same points
-    r1, r2 = (float(r) for r in (tuple(config.radii) + (1.0, 2.0))[:2])
+    r1, r2 = (float(r) for r in config.radii)
 
     def pointwise():
         data = weitzenboeck.weitzenboeck_data(sympl, pts, radii, order)
@@ -476,17 +482,13 @@ def _hypersasaki(entry, config):
             worst_of(pairs.quaternion_relation_residuals)),
     ]
     if len(sasakian) >= 3:
-        rows.append(Row([("s2-family-unit", "S^2-family of Sasakian structures",
-                          1e-8)], family))
-
-    # a random unit quaternion combination must itself be Sasakian and land
-    # back on the unit sphere of the triple
-    if entry.key == "s3-round":
+        # a random unit combination of the triple must itself be Sasakian
+        # and land back on the unit sphere of the triple
         raw = np.array([rng.uniform(-1, 1) for _ in range(3)])
         raw = raw / np.linalg.norm(raw)
 
         def random_member():
-            xi = catalog.s3_reeb_combination(*raw)
+            xi = catalog.reeb_combination(sasakian[:3], raw)
             st = contact.ContactMetricStructure(entry.chart, xi, "combo")
             sas = contact.sasaki_residuals(st, pts)
             combo_sympl = contact.ConeSymplecticData(cn, st)
@@ -494,8 +496,12 @@ def _hypersasaki(entry, config):
                 pair, combo_sympl, cpts, lam())
             return [np.maximum(sas, np.maximum(resid, unit))], pts
 
-        rows.append(Row([("s2-family-sasaki", "S^2-family of Sasakian structures",
-                          1e-6)], random_member))
+        rows += [
+            Row([("s2-family-unit", "S^2-family of Sasakian structures", 1e-8)],
+                family),
+            Row([("s2-family-sasaki", "S^2-family of Sasakian structures", 1e-6)],
+                random_member),
+        ]
     return rows
 
 

@@ -96,7 +96,7 @@ def test_criterion_2_lemma_dual_paths():
 def test_criterion_3_blair_counterexample():
     """Flat Einstein contact torus that is not K-contact, end to end."""
     entry = catalog.get("t3-blair")
-    st = CT.build_contact(entry.chart, entry.structure().xi, "blair")
+    st = entry.structure()
     _, pts, _, _ = _draw(entry.chart)
     kc = np.max(CT.kc_residuals(st, pts))
     killing_witness = CT.killing_residuals(
@@ -118,12 +118,12 @@ def test_criterion_4_einstein_k_contact_instances():
         entry = catalog.get(key)
         n = SAMPLES if key == "s3-round" else 60
         _, pts, radii, _ = _draw(entry.chart, n=n)
-        st = CT.build_contact(entry.chart, entry.structure().xi, "i")
+        st = entry.structure()
         worst = max(worst, np.max(CT.kc_residuals(st, pts)))
         worst = max(worst, np.max(CT.killing_residuals(st, pts)))
         worst = max(worst, np.max(np.abs(CT.ricci_reeb_deficit(st, pts))))
         worst = max(worst, np.max(CT.sasaki_residuals(st, pts)))
-        sympl = CT.build_cone_symplectic(st)
+        sympl = CT.ConeSymplecticData(C.build_cone(entry.chart), st)
         cpts = np.column_stack([pts, radii])
         worst = max(worst, np.max(CT.parallel_omega_residuals(sympl, cpts)))
     _record(4, "Einstein K-contact spheres are Sasakian with Kaehler cones",
@@ -132,8 +132,7 @@ def test_criterion_4_einstein_k_contact_instances():
 
 def test_criterion_5_weitzenboeck_blair_cone():
     entry = catalog.get("t3-blair")
-    st = CT.build_contact(entry.chart, entry.structure().xi, "blair")
-    sympl = CT.build_cone_symplectic(st)
+    sympl = CT.ConeSymplecticData(C.build_cone(entry.chart), entry.structure())
     rng, pts, radii, _ = _draw(entry.chart)
     data = W.weitzenboeck_data(sympl, pts, radii)
 
@@ -195,8 +194,9 @@ def test_criterion_7_structure_algebra():
 
     raw = np.array([rng.uniform(-1, 1) for _ in range(3)])
     a, b, c_ = raw / np.linalg.norm(raw)
-    st = CT.build_contact(entry.chart, catalog.s3_reeb_combination(a, b, c_),
-                          "combo")
+    st = CT.ContactMetricStructure(
+        entry.chart, catalog.reeb_combination(entry.structures, (a, b, c_)),
+        "combo")
     sas = np.max(CT.sasaki_residuals(st, pts))
     combo = CT.ConeSymplecticData(cn, st)
     coeffs, resid_c, unit_c = P.s2_family_coefficients(pair, combo, cpts, lam)

@@ -5,7 +5,8 @@ import pytest
 
 from conelab import catalog
 from conelab import contact as CT
-from conelab.errors import NotContactMetricError
+from conelab.chart import jet_point
+from conelab.geometry import PointGeometry, tvalues
 
 from .conftest import sample
 
@@ -32,17 +33,6 @@ def test_every_catalogued_classification_is_reproduced():
             assert classify(entry, spec) == spec.expected, (key, spec.name)
 
 
-def test_build_contact_agrees_with_classification():
-    for key in catalog.keys():
-        entry = catalog.get(key)
-        for spec in entry.structures:
-            if spec.expected == "not-contact-metric":
-                with pytest.raises(NotContactMetricError):
-                    CT.build_contact(entry.chart, spec.xi, spec.name)
-            else:
-                CT.build_contact(entry.chart, spec.xi, spec.name)
-
-
 def test_structure_lookup(s3):
     assert s3.structure().name == "i"
     assert s3.structure("k").name == "k"
@@ -56,3 +46,31 @@ def test_known_values_present():
         assert "volume" in entry.known_values
         assert entry.n in (1, 2)
         assert len(entry.quadrature) == entry.chart.dim
+
+
+def test_known_values_match_the_engine():
+    """Each catalogued einstein_constant, ricci_reeb_deficit and kc_residual
+    is what the engine measures at sampled points."""
+    checked = set()
+    for key in catalog.keys():
+        entry = catalog.get(key)
+        known = entry.known_values
+        pts, _, _ = sample(entry.chart, 20, seed=2)
+        if "einstein_constant" in known:
+            geo = PointGeometry(entry.chart, jet_point(entry.chart, pts, 3))
+            ric = tvalues(geo.ricci)
+            want = known["einstein_constant"] * geo.g_values
+            assert np.max(np.abs(ric - want)) < 1e-12, key
+            checked.add("einstein_constant")
+        for st in entry.structures:
+            if "ricci_reeb_deficit" in known:
+                deficit = CT.ricci_reeb_deficit(st, pts)
+                assert np.max(np.abs(deficit - known["ricci_reeb_deficit"])) < 1e-12, \
+                    (key, st.name)
+                checked.add("ricci_reeb_deficit")
+            if "kc_residual" in known:
+                comp = CT.kc_max_component_residuals(st, pts)
+                assert np.max(np.abs(comp - known["kc_residual"])) < 1e-12, \
+                    (key, st.name)
+                checked.add("kc_residual")
+    assert checked == {"einstein_constant", "ricci_reeb_deficit", "kc_residual"}

@@ -6,8 +6,8 @@ import pytest
 from conelab import contact as CT
 from conelab import cone as C
 from conelab.chart import jet_point
-from conelab.errors import IncompatibleStructureError, NotContactMetricError
 from conelab.geometry import PointGeometry, tvalues
+from conelab.rng import SplitMix64
 
 from .conftest import sample
 from . import oracles
@@ -30,7 +30,7 @@ def test_blair_phi_closed_form(blair):
 
 
 def test_blair_validates_and_kc_exact(blair):
-    st = CT.build_contact(blair.chart, blair.structure().xi, "blair")
+    st = blair.structure()
     pts, _, _ = sample(blair.chart, 100, seed=15)
     assert np.max(CT.kc_residuals(st, pts)) < 1e-10
     reeb = CT.reeb_residuals(st, pts)
@@ -46,16 +46,12 @@ def test_unnormalized_fails_kc_with_three_quarters(unnormalized):
     assert np.max(CT.unit_length_residuals(st, pts)) < 1e-12
     comp = CT.kc_max_component_residuals(st, pts)
     assert np.max(np.abs(comp - 0.75)) < 1e-12
-    with pytest.raises(NotContactMetricError) as err:
-        CT.build_contact(unnormalized.chart, spec.xi)
-    assert err.value.residual > 0.7
-    assert err.value.witness is not None
 
 
 def test_sphere_structures_validate(s3, s5):
     for entry, names in ((s3, ("i", "j", "k")), (s5, ("i",))):
         for name in names:
-            st = CT.build_contact(entry.chart, entry.structure(name).xi, name)
+            st = entry.structure(name)
             pts, _, _ = sample(entry.chart, 30, seed=35)
             assert np.max(CT.kc_residuals(st, pts)) < 1e-8
 
@@ -118,8 +114,8 @@ def test_sasaki_classification(blair, s3, s5):
 
 def test_cone_symplectic_data(blair, s3):
     for entry in (blair, s3):
-        st = CT.build_contact(entry.chart, entry.structure().xi, "xi")
-        sympl = CT.build_cone_symplectic(st)
+        sympl = CT.ConeSymplecticData(C.build_cone(entry.chart),
+                                      entry.structure())
         pts, radii, _ = sample(entry.chart, 30, seed=115)
         cpts = np.column_stack([pts, radii])
         res = CT.symplectic_residuals(sympl, cpts)
@@ -130,16 +126,17 @@ def test_cone_symplectic_data(blair, s3):
 
 
 def test_cone_symplectic_rejects_invalid_base(unnormalized):
-    spec = unnormalized.structure()
-    st = CT.ContactMetricStructure(unnormalized.chart, spec.xi, spec.name)
-    with pytest.raises(IncompatibleStructureError):
-        CT.build_cone_symplectic(st)
+    """Over a base that misses the contact metric axiom, J^2 != -Id."""
+    cn = C.build_cone(unnormalized.chart)
+    sympl = CT.ConeSymplecticData(cn, unnormalized.structure())
+    cpts = cn.chart.sample_points(25, SplitMix64(1202))
+    assert np.max(CT.symplectic_residuals(sympl, cpts)["complex-square"]) > 1e-8
 
 
 def test_j_radial_action_and_ambient_match(s3):
     """J d_r = xi / r, and on the flat cone J matches the ambient i."""
-    st = CT.build_contact(s3.chart, s3.structure("i").xi, "i")
-    sympl = CT.build_cone_symplectic(st)
+    st = s3.structure("i")
+    sympl = CT.ConeSymplecticData(C.build_cone(s3.chart), st)
     pts, radii, _ = sample(s3.chart, 15, seed=125)
     cpts = np.column_stack([pts, radii])
     geo = PointGeometry(sympl.cone.chart, jet_point(sympl.cone.chart, cpts, 1))
@@ -171,7 +168,7 @@ def test_parallel_omega_iff_sasaki(blair, s3):
 
 def test_phi_solves_defining_linear_system(s3):
     """g(phi X, Y) = d(eta)(X, Y) / 2 literally, on random directions."""
-    st = CT.build_contact(s3.chart, s3.structure("j").xi, "j")
+    st = s3.structure("j")
     pts, _, dirs = sample(s3.chart, 20, seed=155)
     geo = PointGeometry(s3.chart, jet_point(s3.chart, pts, 2))
     phi = tvalues(st.phi(geo))

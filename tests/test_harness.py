@@ -185,6 +185,11 @@ def test_cli_list_and_exit_codes(tmp_path, capsys):
     assert cli_main(["verify", "kcontact", *small, "--radius", "3.0"]) == 2
     assert cli_main(["verify", "weitzenboeck", *small, "--radius", "1",
                      "--radius", "2", "--radius", "3"]) == 2
+    # weitzenboeck compares passes at two radii, which must differ: at equal
+    # radii its radial identities would pass with residual 0 on any code
+    assert cli_main(["verify", "weitzenboeck", *small, "--radius", "1"]) == 2
+    assert cli_main(["verify", "weitzenboeck", *small, "--radius", "2",
+                     "--radius", "2"]) == 2
     assert cli_main(["verify", "kcontact", *small, "--radius", "1",
                      "--radius", "2"]) == 0
     assert cli_main(["verify", "kcontact", *small,
@@ -202,13 +207,20 @@ def test_cli_list_and_exit_codes(tmp_path, capsys):
                     {"samples": True}, {"radii": "12"}, {"jet_order": 2.5},
                     {"tolerances": {"killing-field": "abc"}},
                     {"tolerances": {"killing-field": None}},
-                    {"grid": 4}, {"manifold": ["t3-blair"]})
+                    {"grid": 4}, {"manifold": ["t3-blair"]},
+                    {"sample": 3}, {"samples": 2, "suite": "kcontact"})
     for k, content in enumerate(bad_contents):
         bad_config = tmp_path / f"bad{k}.json"
         bad_config.write_text(json.dumps(content))
         for suite in ("kcontact", "cone-identities"):
             assert cli_main(["verify", suite, "--manifold", "t3-blair", "--samples",
                              "2", "--config", str(bad_config)]) == 2, content
+    capsys.readouterr()
+    typo_config = tmp_path / "typo.json"
+    typo_config.write_text(json.dumps({"sample": 3}))
+    assert cli_main(["verify", "kcontact", "--manifold", "s3-round",
+                     "--config", str(typo_config)]) == 2
+    assert "'sample'" in capsys.readouterr().err
     for k, grid in enumerate((2.5, "8", [8, True, 8])):
         grid_config = tmp_path / f"grid{k}.json"
         grid_config.write_text(json.dumps({"grid": grid}))
@@ -216,6 +228,14 @@ def test_cli_list_and_exit_codes(tmp_path, capsys):
                          "--config", str(grid_config)]) == 2, grid
     assert cli_main(["verify", "kcontact", "--manifold", "t3-blair",
                      "--config", str(tmp_path / "missing.json")]) == 2
+    # the manifold may come from the config file alone, but from somewhere
+    manifold_config = tmp_path / "manifold.json"
+    manifold_config.write_text(json.dumps({"manifold": "s3-round", "samples": 3}))
+    assert cli_main(["verify", "kcontact", "--config", str(manifold_config)]) == 0
+    assert cli_main(["verify", "kcontact", "--samples", "3"]) == 2
+    no_manifold = tmp_path / "no-manifold.json"
+    no_manifold.write_text(json.dumps({"samples": 3}))
+    assert cli_main(["verify", "kcontact", "--config", str(no_manifold)]) == 2
 
 
 def test_cli_integrate(capsys):

@@ -115,8 +115,8 @@ def test_s2_family_random_combination(sphere_pair, cone_samples, s3, rng):
     cpts, pts = cone_samples
     raw = np.array([rng.uniform(-1, 1) for _ in range(3)])
     a, b, c = raw / np.linalg.norm(raw)
-    xi = catalog.s3_reeb_combination(a, b, c)
-    st = CT.build_contact(s3.chart, xi, "combo")
+    xi = catalog.reeb_combination(s3.structures, (a, b, c))
+    st = CT.ContactMetricStructure(s3.chart, xi, "combo")
     assert np.max(CT.sasaki_residuals(st, pts)) < 1e-6
     combo = CT.ConeSymplecticData(pair.cone, st)
     coeffs, resid, unit = P.s2_family_coefficients(pair, combo, cpts, 0.0)
