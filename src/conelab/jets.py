@@ -8,14 +8,10 @@ with c[alpha] = (d^alpha f)(x0) / alpha!.  Coefficients are stored
 coefficient-major, one C-contiguous ``(ncoef, batch)`` array per jet
 (``Jet.coeffs`` is its ``(batch, ncoef)`` transpose view).  The multi-index
 list is graded by total degree, so truncating a jet to a lower order is a
-prefix of rows.  A product works in degree blocks: the left multi-indices of
-degree p pair with the right multi-indices of degree <= order - p, which are
-again a prefix, so each block is one broadcast multiply into a shared
-``(pairs, batch)`` buffer, and one sparse sum adds every pair into the
-coefficient of its summed multi-index.  Analytic primitives (sin, exp, sqrt,
-reciprocal, ...) are Horner evaluations of the outer function's univariate
-Taylor series in the zero-constant part of the argument; on polynomial data
-the arithmetic is exact up to roundoff.
+prefix of rows.  Analytic primitives (sin, exp, sqrt, reciprocal, ...) are
+Horner evaluations of the outer function's univariate Taylor series in the
+zero-constant part of the argument; on polynomial data the arithmetic is
+exact up to roundoff.
 
 Structural zeros are common (constant chart entries, the cone's radial
 blocks), so each jet caches two facts about its coefficients: whether all
@@ -26,11 +22,31 @@ long as both truncated factors are finite (a NaN or inf must still
 propagate), and the result is known zero.  A sum with a zero operand returns
 the other operand, truncated and if need be broadcast, without adding.
 Negation keeps both facts (a zero jet is its own negation), truncation keeps
-zero and finite, and a zero jet's partial is zero.  ``_compose`` is the one
-code that writes coefficients after construction: it zeroes the value row of
-its own copy of the argument before any fact about it is known, and adds each
-series coefficient into the value row of a fresh product, dropping that
-product's facts as it does.
+zero and finite, and a zero jet's partial is zero.
+
+Nonzero jets are sparse too: most entries depend on one or two variables.
+So each jet also caches its row pattern, a mask of the coefficient rows that
+are not identically zero across the batch.  The pattern is conservative: a
+marked row may be zero, an unmarked row is exactly zero.  Products, sums
+(the union), truncation (a prefix), negation, broadcasting and partials (the
+mask through the derivative map) hand it on; a jet scans for it only when a
+product needs it and nothing handed it on.  A product looks up, by the two
+factors' patterns, a plan on its ``_JetTable``: the left and right rows of
+the pairs whose rows are both marked and whose degrees fit the order, and
+one CSR sum that adds each pair into the coefficient of its summed
+multi-index.  Every target sums its pairs from zero in lexicographic order of
+the left multi-index, so the result is the dense product bit for bit: a
+skipped pair is the product of an exactly zero row and a finite one, so it
+is +0 or -0, and a sum that starts at +0 never becomes -0 (x + (-x) is +0),
+so adding +0 or -0 to it changes nothing.  When either truncated factor is
+not finite, the product takes the plan of all rows, so NaN and inf reach
+every coefficient they reach densely.
+
+``_compose`` is the one code that writes coefficients after construction:
+it zeroes the value row of its own copy of the argument before any fact
+about it is known, and adds each series coefficient into the value row of a
+fresh product, dropping that product's facts, pattern included (the plan
+left the value row unmarked), as it does.
 
 Extracting a partial derivative lowers the available order by the derivative
 degree; going past order 0 raises ``JetOrderError``.
@@ -71,7 +87,15 @@ def _compositions(total, parts):
 
 
 class _JetTable:
-    """Cached multiplication / differentiation tables (one per dim, order)."""
+    """Multi-index bookkeeping and product plans for one (dim, order).
+
+    ``pairs`` lists every coefficient pair (left row, right row) whose degrees
+    fit the order, sorted by (target row, left multi-index): the order in
+    which a product sums a coefficient's pairs.  ``plan`` keeps the pairs of
+    two row patterns; each plan is built once per pair of patterns and kept
+    on the table, so plans are keyed by content only and live as long as
+    the table.
+    """
 
     def __init__(self, dim, order, exps, pos, sizes):
         self.dim = dim
@@ -79,35 +103,44 @@ class _JetTable:
         self.exps = exps
         self.pos = pos
         self.sizes = sizes
-        self._mul = None
+        self._pairs = None
+        self._plans = {}
         self._diff = None
 
     @property
-    def mul(self):
-        """Degree blocks (lo, hi, m) and the (ncoef, pairs) sum of the product.
+    def pairs(self):
+        """(target, left, right) row arrays of every pair, in summation order."""
+        if self._pairs is None:
+            terms = []
+            for i, alpha in enumerate(self.exps):
+                for j in range(self.sizes[self.order - sum(alpha)]):
+                    gamma = tuple(a + b for a, b in zip(alpha, self.exps[j]))
+                    terms.append((self.pos[gamma], alpha, i, j))
+            target, _, left, right = zip(*sorted(terms))
+            self._pairs = (np.array(target), np.array(left), np.array(right))
+        return self._pairs
 
-        Block p pairs each left row in lo:hi (degree p) with the right rows :m
-        (degree <= order - p); a coefficient sums its pairs in lexicographic
-        order of the left multi-index.
+    def plan(self, pa, pb):
+        """The product of factors whose rows outside masks pa and pb are zero.
+
+        Returns the left and right rows of the pairs with both rows marked,
+        the (ncoef, pairs) CSR sum taking them to their target rows, and the
+        result's pattern: the targets that receive a pair.
         """
-        if self._mul is None:
-            blocks, terms, lo = [], [], 0
-            for p in range(self.order + 1):
-                hi, m = self.sizes[p], self.sizes[self.order - p]
-                for i in range(lo, hi):
-                    for j in range(m):
-                        gamma = tuple(a + b for a, b in zip(self.exps[i], self.exps[j]))
-                        terms.append((self.pos[gamma], self.exps[i], len(terms)))
-                blocks.append((lo, hi, m))
-                lo = hi
-            target, _, column = zip(*sorted(terms))
-            scatter = sp.csr_matrix(
-                (np.ones(len(terms)), column,
-                 np.searchsorted(target, np.arange(len(self.exps) + 1))),
-                shape=(len(self.exps), len(terms)),
-            )
-            self._mul = (tuple(blocks), scatter)
-        return self._mul
+        key = (pa.tobytes(), pb.tobytes())
+        plan = self._plans.get(key)
+        if plan is None:
+            target, left, right = self.pairs
+            keep = pa[left] & pb[right]
+            target = target[keep]
+            n = len(self.exps)
+            indptr = np.searchsorted(target, np.arange(n + 1))
+            total = sp.csr_matrix((np.ones(len(target)), np.arange(len(target)), indptr),
+                                  shape=(n, len(target)))
+            pattern = indptr[1:] > indptr[:-1]
+            pattern.flags.writeable = False  # shared by every product of this plan
+            plan = self._plans[key] = (left[keep], right[keep], total, pattern)
+        return plan
 
     @property
     def diff(self):
@@ -145,17 +178,18 @@ def _as_batch(value):
 class Jet:
     """One truncated Taylor expansion, batched over sample points."""
 
-    __slots__ = ("dim", "order", "c", "_zero", "_finite")
+    __slots__ = ("dim", "order", "c", "_zero", "_finite", "_pattern")
     __array_ufunc__ = None  # keep numpy from broadcasting over us
     __array_priority__ = 1000
 
-    def __init__(self, dim, order, c, zero=None, finite=None):
+    def __init__(self, dim, order, c, zero=None, finite=None, pattern=None):
         self.dim = dim
         self.order = order
         self.c = c  # C-contiguous, shape (sizes[order], batch)
         # cached facts about c: None until known
         self._zero = zero
         self._finite = True if zero else finite
+        self._pattern = pattern
 
     # -- construction -----------------------------------------------------
 
@@ -230,13 +264,27 @@ class Jet:
             self._finite = bool(np.isfinite(self.c).all())
         return self._finite
 
+    def pattern(self):
+        """Mask of the rows not identically zero; scanned at most once.
+
+        Conservative when handed on: a marked row may be zero, an unmarked
+        row is exactly zero.
+        """
+        if self._pattern is None:
+            self._pattern = (self.c != 0).any(axis=1)
+        return self._pattern
+
+    def _finite_to(self, order):
+        """Whether the rows up to ``order`` are finite; the full scan is cached."""
+        return self.is_finite() or self.truncate(order).is_finite()
+
     def truncate(self, order):
         if order >= self.order:
             return self
-        tab = _table(self.dim, self.order)
+        n = _table(self.dim, self.order).sizes[order]
         # zero and finite survive truncation; nonzero and non-finite need not
-        return Jet(self.dim, order, self.c[: tab.sizes[order]],
-                   self._zero or None, self._finite or None)
+        return Jet(self.dim, order, self.c[:n], self._zero or None, self._finite or None,
+                   None if self._pattern is None else self._pattern[:n])
 
     def partial(self, i):
         """Jet of df/dx_i; available order drops by one."""
@@ -244,9 +292,11 @@ class Jet:
             raise JetOrderError("derivative requested beyond jet order")
         if self._zero:
             return self.truncate(self.order - 1)
-        src, fac = _table(self.dim, self.order).diff[i]
-        n = _table(self.dim, self.order).sizes[self.order - 1]
-        return Jet(self.dim, self.order - 1, self.c[src[:n]] * fac[:n, None])
+        tab = _table(self.dim, self.order)
+        src, fac = tab.diff[i]
+        n = tab.sizes[self.order - 1]
+        pattern = None if self._pattern is None else self._pattern[src[:n]]
+        return Jet(self.dim, self.order - 1, self.c[src[:n]] * fac[:n, None], pattern=pattern)
 
     # -- ring operations ---------------------------------------------------
 
@@ -271,7 +321,10 @@ class Jet:
             return x._widen(_batch(x.batch, y.batch))
         if x.is_zero():
             return y._widen(_batch(x.batch, y.batch))
-        return Jet(self.dim, order, x.c + y.c)
+        pattern = None
+        if x._pattern is not None and y._pattern is not None:
+            pattern = x._pattern | y._pattern
+        return Jet(self.dim, order, x.c + y.c, pattern=pattern)
 
     __radd__ = __add__
 
@@ -281,12 +334,12 @@ class Jet:
             return self
         c = np.empty((len(self.c), batch))
         c[:] = self.c
-        return Jet(self.dim, self.order, c, self._zero, self._finite)
+        return Jet(self.dim, self.order, c, self._zero, self._finite, self._pattern)
 
     def __neg__(self):
         if self._zero:
             return self
-        return Jet(self.dim, self.order, -self.c, self._zero, self._finite)
+        return Jet(self.dim, self.order, -self.c, self._zero, self._finite, self._pattern)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -np.asarray(other, float))
@@ -306,15 +359,13 @@ class Jet:
         # A fresh array: _compose writes into the product's value row.
         if (x.is_zero() or y.is_zero()) and x.is_finite() and y.is_finite():
             return Jet(self.dim, order, np.zeros((len(a), batch)), zero=True)
-        blocks, scatter = _table(self.dim, order).mul
-        prod = np.empty((scatter.shape[1], batch))
-        start = 0
-        for lo, hi, m in blocks:
-            stop = start + (hi - lo) * m
-            np.multiply(a[lo:hi, None], b[None, :m],
-                        out=prod[start:stop].reshape(hi - lo, m, batch))
-            start = stop
-        return Jet(self.dim, order, scatter @ prod)
+        n = len(a)
+        if self._finite_to(order) and o._finite_to(order):
+            pa, pb = self.pattern()[:n], o.pattern()[:n]
+        else:  # every pair, so that NaN and inf reach the targets they reach densely
+            pa = pb = np.ones(n, bool)
+        left, right, total, pattern = _table(self.dim, order).plan(pa, pb)
+        return Jet(self.dim, order, total @ (a[left] * b[right]), pattern=pattern)
 
     __rmul__ = __mul__
 
@@ -347,7 +398,8 @@ class Jet:
         for k in range(len(series) - 2, -1, -1):
             out = out * u
             out.c[0] += series[k]
-            out._zero = out._finite = None  # the write outdates them
+            # the write outdates them, and the product's pattern may omit row 0
+            out._zero = out._finite = out._pattern = None
         return out
 
     def sin(self):

@@ -326,6 +326,23 @@ def test_jet_order_above_the_ceiling_is_a_usage_error():
                      "--jet-order", str(_MAX_JET_ORDER), "--samples", "2"]) == 0
 
 
+def test_product_plans_are_keyed_by_content_not_by_run():
+    """A product plan depends only on its factors' row patterns, which are
+    structural at this batch: a second seed draws other points and adds no
+    plan, and neither does a repeated run.  (A row that is roundoff of a
+    structural zero can read exactly zero at every point of a tiny batch, so
+    at 3 samples another seed can add plans; that is the scan's exactness.)"""
+    def plans():
+        return sum(len(jets._table(dim, k)._plans) for dim in (3, 4) for k in range(7))
+
+    counts = []
+    for seed in (1, 2, 1):
+        reports = run_suite(_config("t3-blair", "weitzenboeck", seed=seed))
+        assert all(r.verdict == "pass" for r in reports)
+        counts.append(plans())
+    assert counts[0] > 0 and counts[0] == counts[1] == counts[2]
+
+
 def test_integration_makes_one_pass_per_family_per_run(monkeypatch):
     """Each run makes one pipeline pass per integrand family and keeps none
     of it: a second identical run makes its own pass and the same report."""

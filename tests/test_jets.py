@@ -60,11 +60,15 @@ def test_product_is_taylor_convolution(ca, cb):
 
 
 def convolution(dim, order_a, a, order_b, b):
-    """Truncated product by direct multi-index convolution over the index lists."""
+    """Truncated product by direct multi-index convolution over the index lists.
+
+    Each coefficient sums its pairs from zero in lexicographic order of the
+    left multi-index, as ``Jet.__mul__`` does, so the two agree bit for bit.
+    """
     order = min(order_a, order_b)
     pos = {e: k for k, e in enumerate(_table(dim, order).exps)}
     out = np.zeros((max(len(a), len(b)), len(pos)))
-    for i, alpha in enumerate(_table(dim, order_a).exps):
+    for i, alpha in sorted(enumerate(_table(dim, order_a).exps), key=lambda t: t[1]):
         for j, beta in enumerate(_table(dim, order_b).exps):
             gamma = tuple(x + y for x, y in zip(alpha, beta))
             if sum(gamma) <= order:
@@ -103,13 +107,12 @@ def test_product_matches_multi_index_convolution(case):
         if zero:
             c[:, :len(_table(dim, min(orders)).exps)] = 0.0
     x, y = (jet_from_rows(dim, k, c) for k, c in zip(orders, coeffs))
-    want = convolution(dim, orders[0], coeffs[0], orders[1], coeffs[1])
-    for prod in (x * y, y * x):
+    wants = (convolution(dim, orders[0], coeffs[0], orders[1], coeffs[1]),
+             convolution(dim, orders[1], coeffs[1], orders[0], coeffs[0]))
+    for prod, want in zip((x * y, y * x), wants):
         assert prod.order == min(orders)
         assert prod.coeffs.shape == want.shape == (max(batches), len(_table(dim, prod.order).exps))
-        np.testing.assert_allclose(prod.coeffs, want, rtol=1e-12, atol=1e-12)
-        if any(zeros):
-            assert np.array_equal(prod.coeffs, want)
+        np.testing.assert_array_equal(prod.coeffs, want)
 
 
 def test_zero_factor_propagates_non_finite_and_returns_a_fresh_array():
@@ -140,6 +143,24 @@ def dense_sum(dim, order_a, a, order_b, b):
     return a[:, :n] + b[:, :n]
 
 
+def dense_partial(dim, order, a, i):
+    """d/dx_i of a (batch, ncoef) array: (alpha_i + 1) c[alpha + e_i]."""
+    exps = _table(dim, order).exps
+    pos = {e: k for k, e in enumerate(exps)}
+    out = np.zeros((len(a), len(_table(dim, order - 1).exps)))
+    for t, alpha in enumerate(exps[: out.shape[1]]):
+        shifted = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+        out[:, t] = a[:, pos[shifted]] * (alpha[i] + 1)
+    return out
+
+
+def assert_pattern_holds(jet):
+    """No row outside a jet's cached pattern is nonzero (NaN counts as nonzero)."""
+    if jet._pattern is not None:
+        assert jet._pattern.shape == (len(jet.c),)
+        assert not (jet.c[~jet._pattern] != 0).any()
+
+
 @st.composite
 def chain_cases(draw):
     dim = draw(st.integers(1, 4))
@@ -148,26 +169,30 @@ def chain_cases(draw):
     batch = draw(st.integers(1, 4))
     batches = draw(st.tuples(*[st.sampled_from([1, batch])] * 3))
     zeros = draw(st.tuples(*[st.booleans()] * 3))
+    # the share of each factor's rows zeroed at random, beside the prefix
+    shares = draw(st.tuples(*[st.sampled_from([0.0, 0.5, 0.8, 1.0])] * 3))
     # one NaN or inf in one factor: which factor, where in its coefficients
     # (possibly above the order that a product keeps), and which value
     bad = draw(st.none() | st.tuples(st.integers(0, 2), st.floats(0, 1, exclude_max=True),
                                      st.sampled_from([np.nan, np.inf, -np.inf])))
-    return dim, orders, batches, zeros, bad, draw(st.integers(0, 2**32 - 1))
+    return dim, orders, batches, zeros, shares, bad, draw(st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(chain_cases())
 def test_chains_of_operations_match_dense_oracles(case):
-    """Products of products, sums with zero operands and negation reuse each
-    jet's cached zero and finite facts across operations; every result still
-    equals the dense oracle, NaN and inf included."""
-    dim, orders, batches, zeros, bad, seed = case
+    """Products of products, sums with zero operands, negation, truncation and
+    partials reuse each jet's cached zero, finite and row-pattern facts
+    across operations; every result equals the dense oracle bit for bit, NaN
+    and inf included, and no row outside a cached pattern is nonzero."""
+    dim, orders, batches, zeros, shares, bad, seed = case
     rng = np.random.default_rng(seed)
     low = len(_table(dim, min(orders)).exps)
     rows = [rng.normal(size=(n, len(_table(dim, k).exps))) for n, k in zip(batches, orders)]
-    for c, zero in zip(rows, zeros):
+    for c, zero, share in zip(rows, zeros, shares):
         if zero:
             c[:, :low] = 0.0
+        c[:, rng.random(c.shape[1]) < share] = 0.0
     if bad is not None:
         which, where, value = bad
         rows[which][-1, int(where * rows[which].shape[1])] = value
@@ -176,9 +201,9 @@ def test_chains_of_operations_match_dense_oracles(case):
 
     def check(jet, order, want):
         assert jet.order == order and jet.coeffs.shape == want.shape
-        np.testing.assert_allclose(jet.coeffs, want, rtol=1e-12, atol=1e-12)
-        if not want.any():
-            assert np.array_equal(jet.coeffs, want)
+        np.testing.assert_array_equal(jet.coeffs, want)
+        assert_pattern_holds(jet)
+        return jet
 
     oxy, oall = min(ox, oy), min(orders)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -186,22 +211,34 @@ def test_chains_of_operations_match_dense_oracles(case):
         want = {
             "xy": xy,
             "xy*z": convolution(dim, oxy, xy, oz, c),
+            "z*xy": convolution(dim, oz, c, oxy, xy),
             "xy+z": dense_sum(dim, oxy, xy, oz, c),
             "-xy": -xy,
             "-xy*z": convolution(dim, oxy, -xy, oz, c),
             "z-xy": dense_sum(dim, oz, c, oxy, -xy),
         }
+        if oxy:
+            dxy = dense_partial(dim, oxy, xy, dim - 1)
+            want["dxy"] = dxy
+            want["dxy*z"] = convolution(dim, oxy - 1, dxy, oz, c)
+            want["(xy+z)*dxy"] = convolution(dim, oall, want["xy+z"], oxy - 1, dxy)
         for _ in range(2):  # the second round reads every fact from the cache
-            p = x * y
-            check(p, oxy, want["xy"])
+            p = check(x * y, oxy, want["xy"])
             check(p * z, oall, want["xy*z"])
-            check(z * p, oall, want["xy*z"])
+            check(z * p, oall, want["z*xy"])
             check(p + z, oall, want["xy+z"])
             check(z + p, oall, want["xy+z"])
             check(-p, oxy, want["-xy"])
             check((-p) * z, oall, want["-xy*z"])
             check(z - p, oall, want["z-xy"])
             check((x * y) * z, oall, want["xy*z"])
+            check(p.truncate(oall), oall, want["xy"][:, :low])
+            if oxy:
+                dp = check(p.partial(dim - 1), oxy - 1, want["dxy"])
+                check(dp * z, min(oxy - 1, oz), want["dxy*z"])
+                check((p + z) * dp, min(oall, oxy - 1), want["(xy+z)*dxy"])
+        for jet in (x, y, z):
+            assert_pattern_holds(jet)
 
 
 def test_exp_of_a_constant_is_nonzero_after_the_horner_writes():
@@ -219,6 +256,62 @@ def test_exp_of_a_constant_is_nonzero_after_the_horner_writes():
     np.testing.assert_allclose((e * y).coeffs, convolution(dim, order, want, order, y.coeffs),
                                rtol=1e-15)
     assert np.array_equal((e + x * 0.0).coeffs, want)
+
+
+def dense_compose(dim, order, a, series):
+    """Horner evaluation of sum_k series[k] (a - value)^k by dense convolution."""
+    u = a.copy()
+    u[:, 0] = 0.0
+    out = np.zeros_like(a)
+    out[:, 0] = series[-1]
+    for k in range(len(series) - 2, -1, -1):
+        out = convolution(dim, order, out, order, u)
+        out[:, 0] += series[k]
+    return out
+
+
+def test_primitives_of_a_jet_with_few_nonzero_rows_see_every_horner_write():
+    """After each Horner product _compose writes the value row, which the
+    product's pattern does not mark (its factor u has a zero value row); the
+    next product must still pair it.  Each primitive equals the dense Horner
+    evaluation bit for bit, and exp the closed form."""
+    dim, order = 2, 5
+    tab = _table(dim, order)
+    v = np.array([0.4, -1.3, 2.0])
+    # f = v + 0.5 y + 0.3 y^2 - 0.2 x^2 y: a few rows, every one in use
+    a = np.zeros((3, len(tab.exps)))
+    a[:, 0] = v
+    for alpha, c in (((0, 1), 0.5), ((0, 2), 0.3), ((2, 1), -0.2)):
+        a[:, tab.pos[alpha]] = c
+    f = jet_from_rows(dim, order, a)
+    f.pattern()  # handed on to u in _compose
+    fac = np.cumprod([1.0] + list(range(1, order + 1)))
+    k = np.arange(order + 1)[:, None]
+    series = {
+        "sin": [(np.sin, np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t))[i % 4](v) / fac[i]
+                for i in range(order + 1)],
+        "cos": [(np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t), np.sin)[i % 4](v) / fac[i]
+                for i in range(order + 1)],
+        "exp": list(np.exp(v) / fac[:, None]),
+        "power": list(np.cumprod(np.r_[[1.0], (2.5 - k[1:, 0] + 1) / k[1:, 0]])[:, None]
+                      * np.abs(v) ** (2.5 - k)),
+    }
+    g = jet_from_rows(dim, order, np.abs(a))   # positive base values for power
+    for name, got in (("sin", f.sin()), ("cos", f.cos()), ("exp", f.exp()),
+                      ("power", g.power(2.5))):
+        base = np.abs(a) if name == "power" else a
+        want = dense_compose(dim, order, base, series[name])
+        np.testing.assert_array_equal(got.coeffs, want, err_msg=name)
+        assert_pattern_holds(got)
+        # its value row is nonzero, and a product with it sees that row
+        assert got.pattern()[0] and got.value.all()
+        np.testing.assert_array_equal((got * f).coeffs,
+                                      convolution(dim, order, want, order, a))
+    # exp(v + 0.5 y + 0.3 y^2 - 0.2 x^2 y) has y^2 coefficient e^v (0.3 + 0.125)
+    e = f.exp()
+    np.testing.assert_allclose(e.coefficient((0, 2)), np.exp(v) * 0.425, rtol=1e-14)
+    np.testing.assert_allclose(e.coefficient((2, 1)), -0.2 * np.exp(v), rtol=1e-14)
+    assert not e.coefficient((1, 0)).any() and not e.coefficient((3, 0)).any()
 
 
 def test_truncate_negate_and_partial_keep_zero_known():
@@ -285,7 +378,7 @@ def test_product_matches_convolution_at_every_dim_and_order():
             prod = jet_from_rows(dim, order, a) * jet_from_rows(dim, order, b[:1])
             want = convolution(dim, order, a, order, b[:1])
             assert prod.coeffs.shape == (2, n)
-            np.testing.assert_allclose(prod.coeffs, want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(prod.coeffs, want)
 
 
 def test_primitives_match_analytic_derivatives():

@@ -5,8 +5,9 @@
 Runs ``conelab verify --report`` with each ``src`` directory on
 ``PYTHONPATH`` for every valid (suite, manifold) pair at default settings:
 six suites on the four catalog manifolds plus ``hypersasaki`` on
-``s3-round``, with ``weitzenboeck`` on ``s5-round`` at ``--samples 6``.  The
-two sides of a pair run at the same time, one process each.  Reports go to
+``s3-round``.  The two sides of a pair run at the same time, one process
+each; ``weitzenboeck`` on ``s5-round``, the slowest pair, needs about 1.2 GB
+per side.  Reports go to
 ``OUTDIR/parent`` and ``OUTDIR/change``, and a summary, with each side's
 wall seconds per pair (process start to exit) and peak RSS in MB (the
 child's ``ru_maxrss`` from ``os.wait4``), to ``OUTDIR/summary.json``.
@@ -46,7 +47,6 @@ MANIFOLDS = ("t3-blair", "t3-unnormalized", "s3-round", "s5-round")
 SUITES = ("cone-identities", "contact-axioms", "kcontact", "sasaki",
           "weitzenboeck", "integration")
 PAIRS = [(s, m) for s in SUITES for m in MANIFOLDS] + [("hypersasaki", "s3-round")]
-EXTRA_FLAGS = {("weitzenboeck", "s5-round"): ["--samples", "6"]}
 INTEGRANDS = ("one", "divergence-pairing", "divergence-ricci", "f-term",
               "solved-curvature", "rough-laplacian", "phi-norm")
 INTEGRATE_MANIFOLDS = ("t3-blair", "s3-round")
@@ -109,8 +109,7 @@ def main(argv):
     for suite, manifold in PAIRS:
         paths = {side: Path(outdir) / side / f"{suite}.{manifold}.json" for side in sides}
         runs = run_both(sides, lambda side: [
-            "verify", suite, "--manifold", manifold, "--report", str(paths[side]),
-            *EXTRA_FLAGS.get((suite, manifold), [])])
+            "verify", suite, "--manifold", manifold, "--report", str(paths[side])])
         codes = {side: run[0] for side, run in runs.items()}
         seconds = {side: round(run[3], 2) for side, run in runs.items()}
         rss = {side: round(run[4], 1) for side, run in runs.items()}
