@@ -40,6 +40,8 @@ class CatalogEntry:
     quadrature: Tuple[int, ...]      # default nodes per coordinate
     # tuned nodes for the curvature-heavy level-set integrands
     curvature_quadrature: Tuple[int, ...]
+    # the suites.INTEGRAND_FAMILIES whose integrals over M_r it runs
+    level_set_integrals: Tuple[str, ...]
     known_values: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -69,20 +71,25 @@ def _vec(fn):
 # -- flat torus entries -------------------------------------------------------
 
 
+def _torus_chart(scale: float, label: str) -> ManifoldChart:
+    """Flat torus (t, x, y) with periods 2 pi and metric scale * Id."""
+    return ManifoldChart(
+        dim=3,
+        coords=("t", "x", "y"),
+        domain=((0.0, TWO_PI),) * 3,
+        periodic=(TWO_PI,) * 3,
+        metric=lambda x: [[scale, 0.0, 0.0], [0.0, scale, 0.0], [0.0, 0.0, scale]],
+        label=label,
+    )
+
+
 def blair_t3() -> CatalogEntry:
     """Blair's contact metric structure on the flat torus, normalised.
 
     g = (dt^2 + dx^2 + dy^2)/4 on periods 2 pi, xi = 2(cos t d_x + sin t d_y);
     flat and Einstein with constant 0, yet not K-contact.
     """
-    chart = ManifoldChart(
-        dim=3,
-        coords=("t", "x", "y"),
-        domain=((0.0, TWO_PI),) * 3,
-        periodic=(TWO_PI,) * 3,
-        metric=lambda x: [[0.25, 0.0, 0.0], [0.0, 0.25, 0.0], [0.0, 0.0, 0.25]],
-        label="t3-blair",
-    )
+    chart = _torus_chart(0.25, "t3-blair")
     xi = _vec(lambda x: [x[0] * 0.0, 2.0 * cos(x[0]), 2.0 * sin(x[0])])
     return CatalogEntry(
         key="t3-blair",
@@ -92,6 +99,7 @@ def blair_t3() -> CatalogEntry:
         # every structure scalar depends on t alone, and the trapezoidal
         # rule is exact transversally with a handful of nodes
         curvature_quadrature=(32, 8, 8),
+        level_set_integrals=("divergence",),
         known_values={
             "volume": np.pi**3,
             "scalar_curvature": 0.0,
@@ -103,14 +111,7 @@ def blair_t3() -> CatalogEntry:
 
 def flat_t3_unnormalized() -> CatalogEntry:
     """The torus structure as printed with the unit metric; negative fixture."""
-    chart = ManifoldChart(
-        dim=3,
-        coords=("t", "x", "y"),
-        domain=((0.0, TWO_PI),) * 3,
-        periodic=(TWO_PI,) * 3,
-        metric=lambda x: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-        label="t3-unnormalized",
-    )
+    chart = _torus_chart(1.0, "t3-unnormalized")
     xi = _vec(lambda x: [x[0] * 0.0, cos(x[0]), sin(x[0])])
     return CatalogEntry(
         key="t3-unnormalized",
@@ -119,6 +120,7 @@ def flat_t3_unnormalized() -> CatalogEntry:
             ContactMetricStructure(chart, xi, "printed", "not-contact-metric"),),
         quadrature=(32, 32, 32),
         curvature_quadrature=(32, 8, 8),
+        level_set_integrals=("divergence",),
         known_values={"volume": TWO_PI**3, "kc_residual": 0.75},
     )
 
@@ -194,6 +196,7 @@ def round_sphere(n: int) -> CatalogEntry:
             # the nonnegative integrands vanish pointwise on the flat cone,
             # so positive-weight quadrature bounds them by their sup
             curvature_quadrature=(8, 6, 6),
+            level_set_integrals=("nonnegative",),
             known_values={
                 "volume": 2 * np.pi**2,
                 "scalar_curvature": 6.0,
@@ -233,6 +236,7 @@ def round_sphere(n: int) -> CatalogEntry:
             structures=(ContactMetricStructure(chart, xi, "i", "sasakian"),),
             quadrature=(16, 16, 12, 12, 12),
             curvature_quadrature=(6, 6, 4, 4, 4),  # dim-6 cone: keep it small
+            level_set_integrals=(),
             known_values={
                 "volume": np.pi**3,
                 "scalar_curvature": 20.0,

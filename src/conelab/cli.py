@@ -7,13 +7,14 @@
     conelab integrate <integrand> --manifold <id> --radius r [--grid N]
 
 Exit codes: 0 all identities pass, 1 failures or engine errors, 2 usage
-(including sample counts, grid counts or radii out of range, a jet order
-below the suite's minimum, a grid or jet order given to a suite that does
-not read it, weitzenboeck radii that are not two distinct values, no
-manifold from either the flag or the config file, and a config file that is
-not a JSON object, has a field it does not know or has a field of the wrong
-JSON type).  The reason for each `error` verdict goes to stderr.  A JSON
-config file may supply the same fields as the flags; flags win.
+(including sample counts, grid counts or radii out of range, an empty radius
+list, a jet order below the suite's minimum, a grid or jet order given to a
+suite that does not read it, weitzenboeck radii that are not two distinct
+values, no manifold from either the flag or the config file, a config file
+that is not a JSON object, has a field it does not know or has a field of
+the wrong JSON type, and a --report path that cannot be written).  The
+reason for each `error` verdict goes to stderr.  A JSON config file may
+supply the same fields as the flags; flags win.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import catalog
-from .report import SuiteConfig, all_pass, report_json
-from .suites import INTEGRANDS, SUITES, SuiteUsageError, integrate_level_set, run_suite
+from .report import SuiteConfig, report_json
+from .suites import (INTEGRANDS, SUITES, SuiteUsageError, check_field,
+                     integrate_level_set, run_suite)
 
 
 def _parse_tol(items):
@@ -49,13 +52,6 @@ def _parse_grid(text):
         return int(text)
     except ValueError:
         raise SuiteUsageError(f"--grid expects N or N1,N2,..., got {text!r}")
-
-
-def _typed(value, kinds, what):
-    """value itself when it has one of the JSON types kinds (never a boolean)."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise SuiteUsageError(f"{what} has the wrong type: {value!r}")
-    return value
 
 
 def build_parser():
@@ -90,46 +86,37 @@ def build_parser():
 
 
 def _load_config(args) -> SuiteConfig:
-    """Flags over the fields of the JSON config file.
-
-    The file may set only the fields below, so a misspelt key is an error
-    rather than a silent default.  Each field it sets is type-checked
-    even where a flag overrides it; null leaves a field at its default.
-    """
-    base = {}
+    """Flags over the fields of the JSON config file, which may set every
+    SuiteConfig field but the suite: a misspelt key is an error, not a silent
+    default.  Each field it sets is checked even where a flag overrides it;
+    null leaves a field at its default."""
+    values = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            base = _typed(json.load(fh), dict, "the config file's content")
-    unknown = sorted(set(base) - {"manifold", "grid", "radii", "jet_order",
-                                  "tolerances", "seed", "samples"})
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                values = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise SuiteUsageError(f"bad config file {args.config!r}: {exc}") from None
+        if not isinstance(values, dict):
+            raise SuiteUsageError(f"the config file holds {values!r}, not an object")
+    unknown = sorted(set(values) - {f.name for f in fields(SuiteConfig)
+                                    if f.name != "suite"})
     if unknown:
         raise SuiteUsageError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
-
-    def pick(flag, key, kinds, default=None):
-        value = base.get(key)
-        if value is None:
-            value = default
-        else:
-            _typed(value, kinds, f"config field {key!r}")
-        return value if flag is None else flag
-
-    manifold = pick(args.manifold or None, "manifold", str)
-    if not manifold:
+    values = {key: value for key, value in values.items() if value is not None}
+    for key, value in values.items():
+        check_field(key, value)
+    flags = {"manifold": args.manifold or None, "grid": _parse_grid(args.grid),
+             "radii": args.radius, "jet_order": args.jet_order,
+             "seed": args.seed, "samples": args.samples}
+    values.update((key, flag) for key, flag in flags.items() if flag is not None)
+    values["tolerances"] = {**values.get("tolerances", {}), **_parse_tol(args.tol)}
+    if "radii" in values:
+        values["radii"] = tuple(float(r) for r in values["radii"])
+    if "manifold" not in values:
         raise SuiteUsageError("no manifold: give --manifold or a config "
                               "file field 'manifold'")
-    cfg = SuiteConfig(manifold=manifold, suite=args.suite)
-    cfg.grid = pick(_parse_grid(args.grid), "grid", (int, list))
-    radii = pick(args.radius, "radii", list)
-    if radii:
-        cfg.radii = tuple(float(_typed(r, (int, float), "a radius")) for r in radii)
-    cfg.jet_order = pick(args.jet_order, "jet_order", int)
-    tols = {key: _typed(tol, (int, float), f"the tolerance for {key!r}")
-            for key, tol in pick(None, "tolerances", dict, {}).items()}
-    tols.update(_parse_tol(args.tol))
-    cfg.tolerances = tols
-    cfg.seed = pick(args.seed, "seed", int, cfg.seed)
-    cfg.samples = pick(args.samples, "samples", int, cfg.samples)
-    return cfg
+    return SuiteConfig(suite=args.suite, **values)
 
 
 def _print_reports(reports):
@@ -150,15 +137,11 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "list":
-            print("suites:")
-            for s in SUITES:
-                print(f"  {s}")
-            print("manifolds:")
-            for key in catalog.keys():
-                print(f"  {key}")
-            print("integrands:")
-            for name in INTEGRANDS:
-                print(f"  {name}")
+            for title, names in (("suites", SUITES), ("manifolds", catalog.keys()),
+                                 ("integrands", INTEGRANDS)):
+                print(f"{title}:")
+                for name in names:
+                    print(f"  {name}")
             return 0
 
         if args.command == "integrate":
@@ -168,20 +151,20 @@ def main(argv=None) -> int:
             print(f"{value!r}")
             return 0
 
-        try:
-            config = _load_config(args)
-        except (OSError, TypeError, ValueError) as exc:
-            raise SuiteUsageError(f"bad config file {args.config!r}: {exc}") from None
+        config = _load_config(args)
         reports = run_suite(config)
         _print_reports(reports)
-        ok = all_pass(reports)
         n_fail = sum(1 for r in reports if r.verdict != "pass")
         print(f"{len(reports)} identities, {n_fail} failing")
         if args.report:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(report_json(config, reports))
+            try:
+                with open(args.report, "w", encoding="utf-8") as fh:
+                    fh.write(report_json(config, reports))
+            except OSError as exc:
+                raise SuiteUsageError(
+                    f"cannot write report {args.report!r}: {exc.strerror}") from None
             print(f"report written to {args.report}")
-        return 0 if ok else 1
+        return 1 if n_fail else 0
     except SuiteUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

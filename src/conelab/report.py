@@ -10,7 +10,7 @@ report is deterministic, so identical configs produce byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -32,16 +32,7 @@ class CheckReport:
     message: str = ""
 
     def to_dict(self):
-        return {
-            "identity": self.identity,
-            "anchor": self.anchor,
-            "samples": self.samples,
-            "max_residual": self.max_residual,
-            "rms_residual": self.rms_residual,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "witness": list(self.witness) if self.witness is not None else None,
-        }
+        return {key: val for key, val in asdict(self).items() if key != "message"}
 
 
 def make_report(identity: str, anchor: str, residuals, tolerance: float,
@@ -82,7 +73,7 @@ class SuiteConfig:
 
     manifold: str
     suite: str
-    grid: Optional[object] = None          # int or per-coordinate tuple
+    grid: Optional[object] = None          # int or per-coordinate list
     radii: Tuple[float, ...] = (1.0, 2.0)
     jet_order: Optional[int] = None
     tolerances: Dict[str, float] = field(default_factory=dict)
@@ -93,19 +84,7 @@ class SuiteConfig:
         return float(self.tolerances.get(identity, default))
 
     def to_dict(self):
-        grid = self.grid
-        if isinstance(grid, tuple):
-            grid = list(grid)
-        return {
-            "manifold": self.manifold,
-            "suite": self.suite,
-            "grid": grid,
-            "radii": list(self.radii),
-            "jet_order": self.jet_order,
-            "tolerances": dict(sorted(self.tolerances.items())),
-            "seed": self.seed,
-            "samples": self.samples,
-        }
+        return asdict(self)
 
 
 def report_json(config: SuiteConfig, reports: List[CheckReport]) -> str:

@@ -13,8 +13,10 @@ to fail some of these checks, and the reports are the point.
 
 from __future__ import annotations
 
+import math
+from dataclasses import fields, replace
 from functools import cache
-from typing import Callable, NamedTuple, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,9 +24,6 @@ from . import catalog, cone as cone_mod, contact, pairs, quadrature, weitzenboec
 from .jets import cos, sin
 from .report import SuiteConfig, error_report, make_report
 from .rng import SplitMix64
-
-SUITES = ("cone-identities", "contact-axioms", "kcontact", "sasaki",
-          "weitzenboeck", "hypersasaki", "integration")
 
 R_LO, R_HI = 0.5, 3.0
 
@@ -45,21 +44,26 @@ class Row(NamedTuple):
     kernel: Callable[[], tuple]
 
 
+class Suite(NamedTuple):
+    """One suite: its row builder and the config fields it reads."""
+
+    rows: Callable[..., list]       # (catalog entry, config) -> [Row, ...]
+    # (least, default) jet order if it reads one; the least seeds every
+    # derivative the suite takes
+    jet_orders: Optional[Tuple[int, int]] = None
+    radii: int = 0                  # how many of the config's radii it reads
+    grid: bool = False              # whether it reads a quadrature grid
+
+
 def run_suite(config: SuiteConfig):
-    if config.suite not in SUITES:
-        raise SuiteUsageError(
-            f"unknown suite {config.suite!r}; known: {', '.join(SUITES)}")
-    entry = _entry(config.manifold)
-    _validate(entry, config)
-    rows = {
-        "cone-identities": _cone_identities,
-        "contact-axioms": _contact_axioms,
-        "kcontact": _kcontact,
-        "sasaki": _sasaki,
-        "weitzenboeck": _weitzenboeck,
-        "hypersasaki": _hypersasaki,
-        "integration": _integration,
-    }[config.suite](entry, config)
+    for f in fields(SuiteConfig):
+        check_field(f.name, getattr(config, f.name))
+    suite = SUITES[config.suite]
+    entry = catalog.get(config.manifold)
+    _validate(entry, suite, config)
+    if suite.jet_orders and config.jet_order is None:
+        config = replace(config, jet_order=suite.jet_orders[1])
+    rows = suite.rows(entry, config)
     emitted = {identity for checks, _ in rows for identity, _, _ in checks}
     unknown = sorted(set(config.tolerances) - emitted)
     if unknown:
@@ -91,85 +95,91 @@ def _run_rows(config, rows):
 
 # -- input validation -----------------------------------------------------------
 
-
-def _entry(manifold):
-    try:
-        return catalog.get(manifold)
-    except KeyError as exc:
-        raise SuiteUsageError(str(exc)) from None
-
-
-# the only suites whose kernels take their jet order from the config, with
-# the least order that seeds every derivative they take
-_MIN_JET_ORDER = {"cone-identities": 2, "weitzenboeck": 4}
 # exact jets give the same reports at any order above a suite's minimum, and
 # the product tables grow as C(order + 2 dim, 2 dim): at order 99 on a 4-dim
 # cone, building them ran for over a minute, so orders past this are refused
 _MAX_JET_ORDER = 8
-# how many of the config's radii each suite reads; the others read none
-_RADII_READ = {"weitzenboeck": 2, "integration": 1}
 
 
-def _validate(entry, config):
-    if config.samples < 1:
-        raise SuiteUsageError(f"samples must be at least 1, got {config.samples}")
-    if not 0 <= config.seed < 2**64:
-        raise SuiteUsageError(f"seed must lie in [0, 2**64), got {config.seed}")
+def _is(kinds, value):
+    """Whether value has one of the JSON types kinds; a boolean is never a
+    number, and a numpy integer is none (the report could not hold it)."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _radius(r):
+    return _is((int, float), r) and cone_mod.R_RANGE[0] < r < cone_mod.R_RANGE[1]
+
+
+# SuiteConfig field -> (whether a value has the field's JSON type and range,
+# what the field must be); the rules that depend on the suite and the
+# manifold are _validate's
+_FIELDS = {
+    "manifold": (lambda v: _is(str, v) and v in catalog.keys(),
+                 "a catalog manifold id (see `conelab list`)"),
+    "suite": (lambda v: _is(str, v) and v in SUITES,
+              "a suite name (see `conelab list`)"),
+    "grid": (lambda v: v is None or all(
+        _is(int, c) and c >= 1
+        for c in (v if isinstance(v, (list, tuple)) else [v])),
+             "a node count of at least 1, or a list of them"),
+    # distinct, as weitzenboeck's radial identities compare a pass at r1 with
+    # one at r2, and at r1 = r2 they hold with residual 0 whatever the code does
+    "radii": (lambda v: _is((list, tuple), v) and len(v) > 0
+              and all(map(_radius, v)) and len(set(v)) == len(v),
+              f"a non-empty list of distinct radii inside {cone_mod.R_RANGE}"),
+    "jet_order": (lambda v: v is None or _is(int, v)
+                  and 0 <= v <= _MAX_JET_ORDER,
+                  f"an integer in [0, {_MAX_JET_ORDER}]"),
+    "tolerances": (lambda v: _is(dict, v) and all(
+        _is(str, k) and _is((int, float), t) and 0 <= t < math.inf
+        for k, t in v.items()), "an object of finite tolerances of at least 0"),
+    "seed": (lambda v: _is(int, v) and 0 <= v < 2**64,
+             "an integer in [0, 2**64)"),
+    "samples": (lambda v: _is(int, v) and v >= 1, "an integer of at least 1"),
+}
+
+
+def check_field(name, value):
+    """Raise SuiteUsageError unless value has the JSON type and the range of
+    the SuiteConfig field `name`."""
+    valid, what = _FIELDS[name]
+    if not valid(value):
+        raise SuiteUsageError(f"{name} must be {what}, got {value!r}")
+
+
+def _validate(entry, suite, config):
+    """The field rules that depend on the suite and the manifold."""
     if config.jet_order is not None:
-        least = _MIN_JET_ORDER.get(config.suite)
-        if least is None:
+        if suite.jet_orders is None:
             raise SuiteUsageError(
                 f"suite {config.suite!r} runs at fixed jet orders; a jet order "
-                f"applies only to {', '.join(_MIN_JET_ORDER)}")
-        if config.jet_order < least:
+                "applies only to "
+                f"{', '.join(n for n, s in SUITES.items() if s.jet_orders)}")
+        if config.jet_order < suite.jet_orders[0]:
             raise SuiteUsageError(
-                f"suite {config.suite!r} needs jet order at least {least}, "
-                f"got {config.jet_order}")
-        if config.jet_order > _MAX_JET_ORDER:
-            raise SuiteUsageError(
-                f"jet order must be at most {_MAX_JET_ORDER}, got {config.jet_order}")
+                f"suite {config.suite!r} needs jet order at least "
+                f"{suite.jet_orders[0]}, got {config.jet_order}")
     if config.grid is not None:
-        if config.suite != "integration":
+        if not suite.grid:
             raise SuiteUsageError(
-                f"suite {config.suite!r} has no quadrature; a grid applies "
-                "only to integration")
+                f"suite {config.suite!r} has no quadrature; a grid applies only "
+                f"to {', '.join(n for n, s in SUITES.items() if s.grid)}")
         _grid_counts(entry, config.grid)
-    for r in config.radii:
-        _check_radius(r)
+    # the default radii are in every report's config, so every suite takes them
     radii = tuple(config.radii)
-    if config.suite == "weitzenboeck" and (len(radii) != 2 or radii[0] == radii[1]):
-        # the radial identities compare a pass at r1 with one at r2, and at
-        # r1 = r2 they hold with residual 0 whatever the code computes
+    if radii != SuiteConfig.radii and len(radii) != suite.radii:
         raise SuiteUsageError(
-            f"suite 'weitzenboeck' needs two distinct radii, got {radii!r}")
-    used = _RADII_READ.get(config.suite, 0)
-    if len(radii) > used and radii != SuiteConfig.radii:
-        raise SuiteUsageError(
-            f"suite {config.suite!r} reads {used} radii, got {len(config.radii)}")
-    for identity, tol in config.tolerances.items():
-        if not np.isfinite(tol) or tol < 0:
-            raise SuiteUsageError(
-                f"tolerance for {identity!r} must be finite and at least 0, "
-                f"got {tol!r}")
+            f"suite {config.suite!r} reads {suite.radii} radii, got {len(radii)}")
 
 
 def _grid_counts(entry, grid):
-    """Node counts per base coordinate from an int or a per-coordinate tuple."""
+    """Node counts per base coordinate from a checked grid."""
     dim = entry.chart.dim
-    counts = (grid,) * dim if np.ndim(grid) == 0 else tuple(grid)
-    if len(counts) != dim or not all(
-            isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 1
-            for c in counts):
-        raise SuiteUsageError(
-            f"grid needs {dim} node counts of at least 1, got {grid!r}")
+    counts = tuple(grid) if isinstance(grid, (list, tuple)) else (grid,) * dim
+    if len(counts) != dim:
+        raise SuiteUsageError(f"grid needs {dim} node counts, got {grid!r}")
     return counts
-
-
-def _check_radius(r):
-    lo, hi = cone_mod.R_RANGE
-    if not lo < r < hi:
-        raise SuiteUsageError(
-            f"radius {r!r} outside the cone's radial range ({lo}, {hi})")
 
 
 # -- sampling -----------------------------------------------------------------
@@ -212,9 +222,7 @@ def _lemma_oneforms(dim):
     def build(coeffs):
         def fn(x):
             out = np.empty(dim, object)
-            zero = x[0] * 0.0
-            for i in range(dim):
-                out[i] = zero
+            out.fill(x[0] * 0.0)
             for i, c in coeffs(x):
                 out[i] = out[i] + c
             return out
@@ -234,9 +242,7 @@ def _test_twoform(dim):
     def fn(x):
         zero = x[0] * 0.0
         out = np.empty((dim, dim), object)
-        for i in range(dim):
-            for j in range(dim):
-                out[i, j] = zero
+        out.fill(zero)
         c = cos(x[0])
         out[0, 1] = c
         out[1, 0] = zero - c
@@ -256,9 +262,8 @@ def _cone_identities(entry, config):
     cn = cone_mod.build_cone(entry.chart)
     _, pts, radii, dirs = _draw(entry, config)
     cpts = _cone_points(pts, radii)
-    order = config.jet_order or 3
-    geo = cone_mod.cone_geometry(cn, pts, radii, order)
-    bgeo = cone_mod.base_geometry(cn, pts, order)
+    geo = cone_mod.cone_geometry(cn, pts, radii, config.jet_order)
+    bgeo = cone_mod.base_geometry(cn, pts, config.jet_order)
     dim = entry.chart.dim
 
     def forms(fn, degree):
@@ -393,7 +398,7 @@ def _weitzenboeck(entry, config):
     dirs4 = np.array([rng.unit_vector(entry.chart.dim + 1)
                       for _ in range(len(pts))])
     cpts = _cone_points(pts, radii)
-    order = config.jet_order or weitzenboeck.DEFAULT_ORDER
+    order = config.jet_order
     # radial structure: two more passes at fixed radii over the same points
     r1, r2 = (float(r) for r in config.radii)
 
@@ -508,18 +513,35 @@ def _hypersasaki(entry, config):
 # -- integration ---------------------------------------------------------------
 
 
-INTEGRANDS = ("one", "divergence-pairing", "divergence-ricci", "f-term",
-              "solved-curvature", "rough-laplacian", "phi-norm")
+class Family(NamedTuple):
+    """Level-set integrands read from one weitzenboeck_data pass; a catalog
+    entry names the families whose integrals over M_r it runs."""
 
-_DIVERGENCE = ("divergence-pairing", "divergence-ricci")
-_NONNEGATIVE = ("f-term", "solved-curvature", "rough-laplacian", "phi-norm")
+    members: Tuple[str, ...]
+    order: int              # jet order of the pass
+    mode: str               # weitzenboeck_data mode of the pass
+    tolerance: float        # of each integral-* identity
+
+
+INTEGRAND_FAMILIES = {
+    # vanish by Stokes on a compact base
+    "divergence": Family(("divergence-pairing", "divergence-ricci"), 4,
+                         "divergence", 1e-6),
+    # vanish only where the cone is flat, pointwise
+    "nonnegative": Family(("f-term", "solved-curvature", "rough-laplacian",
+                           "phi-norm"), weitzenboeck.DEFAULT_ORDER, "full", 1e-8),
+}
+
+INTEGRANDS = ("one",) + tuple(name for family in INTEGRAND_FAMILIES.values()
+                              for name in family.members)
 
 
 def integrand_values(entry, name, data, r):
     """A named integrand at radius r, read from one weitzenboeck_data pass."""
-    if name in _DIVERGENCE:
-        vals = data.div_term if name == "divergence-pairing" else data.ric_div_term
-        return vals * r**4
+    if name == "divergence-pairing":
+        return data.div_term * r**4
+    if name == "divergence-ricci":
+        return data.ric_div_term * r**4
     if name == "f-term":
         return 2.0 * (2 * entry.n - 2) * (data.s_star * r**2) / r**4
     if name == "solved-curvature":
@@ -532,25 +554,22 @@ def integrand_values(entry, name, data, r):
         f"unknown integrand {name!r}; known: {', '.join(INTEGRANDS)}")
 
 
-def _level_set_integrals(entry, r, names, counts):
-    """Quadratures over M_r of integrands of one family, in `names` order.
-
-    Every quadrature call uses the same nodes, so the family's one pipeline
-    pass, made at the first call, serves all of them; "one" needs no pass.
-    """
+def _level_set_integrals(entry, r, family, names, counts):
+    """Quadratures over M_r of integrands of one family (None for "one"), in
+    `names` order.  Every quadrature call uses the same nodes, so the
+    family's one pipeline pass, made at the first call, serves them all."""
     cn = cone_mod.build_cone(entry.chart)
     sympl = contact.ConeSymplecticData(cn, entry.structures[0])
     held = []
 
     def values(name):
         def fn(pts, rr):
-            if name == "one":
+            if family is None:
                 return np.ones(len(pts))
             if not held:
-                order, mode = ((4, "divergence") if name in _DIVERGENCE
-                               else (weitzenboeck.DEFAULT_ORDER, "full"))
                 held.append(weitzenboeck.weitzenboeck_data(
-                    sympl, pts, np.full(len(pts), float(rr)), order, mode=mode))
+                    sympl, pts, np.full(len(pts), float(rr)), family.order,
+                    mode=family.mode))
             return integrand_values(entry, name, held[0], rr)
 
         return fn
@@ -565,23 +584,24 @@ def integrate_level_set(manifold: str, r: float, integrand: str, grid=None):
     Without a grid, "one" uses the catalog quadrature spec and the curvature
     integrands the entry's tuned curvature_quadrature.
     """
-    entry = _entry(manifold)
+    check_field("manifold", manifold)
+    entry = catalog.get(manifold)
     if integrand not in INTEGRANDS:
         raise SuiteUsageError(
             f"unknown integrand {integrand!r}; known: {', '.join(INTEGRANDS)}")
-    _check_radius(r)
+    check_field("radii", (r,))
+    check_field("grid", grid)
+    family = next((f for f in INTEGRAND_FAMILIES.values()
+                   if integrand in f.members), None)
+    counts = entry.quadrature if family is None else entry.curvature_quadrature
     if grid is not None:
         counts = _grid_counts(entry, grid)
-    elif integrand == "one":
-        counts = entry.quadrature
-    else:
-        counts = entry.curvature_quadrature
-    return _level_set_integrals(entry, r, (integrand,), counts)[0]
+    return _level_set_integrals(entry, r, family, (integrand,), counts)[0]
 
 
 def _integration(entry, config):
     grid = config.grid
-    r = float(config.radii[0]) if config.radii else 1.0
+    r = float(config.radii[0])
     counts = (_grid_counts(entry, grid) if grid is not None
               else entry.curvature_quadrature)
 
@@ -591,17 +611,29 @@ def _integration(entry, config):
         expected = entry.known_values["volume"]
         return [np.array([abs(vol - expected) / abs(expected)])], None
 
-    def integrals(names):
-        return lambda: ([np.array([abs(v)]) for v in
-                         _level_set_integrals(entry, r, names, counts)], None)
+    def integrals(family):
+        return lambda: ([np.array([abs(v)]) for v in _level_set_integrals(
+            entry, r, family, family.members, counts)], None)
 
     rows = []
     if entry.known_values.get("volume"):
         rows.append(Row([("volume", "catalog closed form", 1e-9)], volume))
-    if entry.key in ("t3-blair", "t3-unnormalized"):
-        rows.append(Row([(f"integral-{name}", "level-set integral of Eq. (la)", 1e-6)
-                         for name in _DIVERGENCE], integrals(_DIVERGENCE)))
-    if entry.key == "s3-round":
-        rows.append(Row([(f"integral-{name}", "level-set integral of Eq. (la)", 1e-8)
-                         for name in _NONNEGATIVE], integrals(_NONNEGATIVE)))
+    for family in (INTEGRAND_FAMILIES[key] for key in entry.level_set_integrals):
+        rows.append(Row([(f"integral-{name}", "level-set integral of Eq. (la)",
+                          family.tolerance) for name in family.members],
+                        integrals(family)))
     return rows
+
+
+# -- the suite table --------------------------------------------------------------
+
+SUITES = {
+    "cone-identities": Suite(_cone_identities, jet_orders=(2, 3)),
+    "contact-axioms": Suite(_contact_axioms),
+    "kcontact": Suite(_kcontact),
+    "sasaki": Suite(_sasaki),
+    "weitzenboeck": Suite(_weitzenboeck,
+                          jet_orders=(4, weitzenboeck.DEFAULT_ORDER), radii=2),
+    "hypersasaki": Suite(_hypersasaki),
+    "integration": Suite(_integration, radii=1, grid=True),
+}
