@@ -10,7 +10,6 @@ the base volume form.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .chart import ManifoldChart
 
@@ -21,6 +20,11 @@ def coordinate_rule(lo: float, hi: float, period, n: int):
         nodes = lo + period * np.arange(n) / n
         weights = np.full(n, period / n)
     else:
+        # imported here: scipy costs a fresh process about 0.1 s, and only
+        # bounded-coordinate rules use it (numpy's leggauss differs in the
+        # last bits for n >= 3, which would move pinned residuals)
+        from scipy.special import roots_legendre
+
         x, w = roots_legendre(n)
         nodes = lo + (hi - lo) * (x + 1.0) / 2.0
         weights = w * (hi - lo) / 2.0

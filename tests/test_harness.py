@@ -297,6 +297,37 @@ def test_cli_entry_point_subprocess():
     assert "killing-field" in proc.stdout
 
 
+def test_start_up_loads_no_scipy():
+    """Only Gauss-Legendre rules import scipy: importing conelab and running
+    ``python -m conelab.cli verify kcontact`` load none of it, and an
+    integral over s3-round (a bounded Hopf coordinate) prints the value it
+    printed when scipy was imported at start-up."""
+    probe = ("import runpy, sys\n"
+             "import conelab\n"
+             "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+             "sys.argv = ['conelab', *sys.argv[1:]]\n"
+             "try:\n"
+             "    runpy.run_module('conelab.cli', run_name='__main__', alter_sys=True)\n"
+             "except SystemExit as exc:\n"
+             "    code = exc.code\n"
+             "loaded += [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+             "print('scipy modules:', sorted(set(loaded)))\n"
+             "sys.exit(code)\n")
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-c", probe, *args],
+                              capture_output=True, text=True)
+
+    proc = run("verify", "kcontact", "--manifold", "s3-round")
+    assert proc.returncode == 0, proc.stderr
+    assert "killing-field" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "scipy modules: []"
+    proc = run("integrate", "one", "--manifold", "s3-round", "--radius", "1.7")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "96.97873284510409"  # 2 pi^2 1.7^3
+    assert "scipy.special" in proc.stdout.splitlines()[-1]
+
+
 def test_benchmark_tracer_installs():
     """Every name the benchmark's tracer pins still exists, and suites run
     traced to the very reports they give untraced, with no error verdict; the

@@ -381,6 +381,49 @@ def test_product_matches_convolution_at_every_dim_and_order():
             np.testing.assert_array_equal(prod.coeffs, want)
 
 
+def test_products_equal_the_dense_oracle_bit_for_bit():
+    """Compared as int64 bits, so the sign of zero counts, which
+    ``assert_array_equal`` does not see: a target whose every formed pair is
+    -0 sums to +0, a batch-1 factor broadcasts against batch 200, and a
+    non-finite factor takes the plan of all rows."""
+    def assert_bits(prod, want):
+        got = np.ascontiguousarray(prod.coeffs)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    dim, order = 3, 4
+    n = len(_table(dim, order).exps)
+    rng = np.random.default_rng(11)
+    # batch element 0 forms only -0 * 1 pairs; element 1 marks every row
+    a, b = rng.normal(size=(2, 2, n))
+    a[0], b[0] = -0.0, 1.0
+    for ca, cb in ((a, b), (b, a)):
+        prod = jet_from_rows(dim, order, ca) * jet_from_rows(dim, order, cb)
+        assert prod.pattern().all()
+        assert not np.signbit(prod.coeffs[0]).any()
+        assert_bits(prod, convolution(dim, order, ca, order, cb))
+    # batch 1 against batch 200, each with some rows exactly zero, some -0
+    a = rng.normal(size=(1, n))
+    b = rng.normal(size=(200, n))
+    a[:, rng.random(n) < 0.5] = -0.0
+    b[:, rng.random(n) < 0.3] = 0.0
+    b[:, 0] = -b[:, 0]
+    for ca, cb in ((a, b), (b, a)):
+        prod = jet_from_rows(dim, order, ca) * jet_from_rows(dim, order, cb)
+        assert_bits(prod, convolution(dim, order, ca, order, cb))
+    # an inf in a row the other factor leaves zero: every pair is formed
+    a = rng.normal(size=(3, n))
+    a[:, 1:n:2] = 0.0
+    bad = rng.normal(size=(3, n))
+    bad[:, 0:n:3] = 0.0
+    bad[1, 1] = np.inf
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        for ca, cb in ((a, bad), (bad, a)):
+            want = convolution(dim, order, ca, order, cb)
+            assert np.isnan(want).any()
+            assert_bits(jet_from_rows(dim, order, ca) * jet_from_rows(dim, order, cb), want)
+
+
 def test_primitives_match_analytic_derivatives():
     pts = np.array([[0.3, -0.7], [1.1, 0.2]])
     x, y = Jet.variables(pts, 5)

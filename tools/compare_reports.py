@@ -3,11 +3,13 @@
     python3 tools/compare_reports.py PARENT_SRC CHANGE_SRC OUTDIR
 
 Runs ``conelab verify --report`` with each ``src`` directory on
-``PYTHONPATH`` for every valid (suite, manifold) pair at default settings:
-six suites on the four catalog manifolds plus ``hypersasaki`` on
-``s3-round``.  The two sides of a pair run at the same time, one process
-each; ``weitzenboeck`` on ``s5-round``, the slowest pair, needs about 1.2 GB
-per side.  Reports go to
+``PYTHONPATH`` for every valid (suite, manifold) pair at default settings.
+Each tree declares its own pairs: a suite of ``suites.SUITES`` on a manifold
+of its catalog is valid when ``run_suite`` takes it at its smallest sizes
+without a usage error (``hypersasaki``, for one, needs two catalogued
+Sasakian structures).  The two sides of a pair run at the same time, one
+process each; ``weitzenboeck`` on ``s5-round``, the slowest pair, needs about
+1.2 GB per side.  Reports go to
 ``OUTDIR/parent`` and ``OUTDIR/change``, and a summary, with each side's
 wall seconds per pair (process start to exit) and peak RSS in MB (the
 child's ``ru_maxrss`` from ``os.wait4``), to ``OUTDIR/summary.json``.
@@ -19,13 +21,15 @@ the benchmark gate's allowance ``max(RTOL * |ref|, ATOL_SHARE * tolerance)``
 (``perfbench/workloads.py``); residuals not listed are equal.  Peak RSS gates
 nothing.
 
-It then runs ``conelab integrate`` for each named integrand on ``t3-blair``
-and ``s3-round`` at ``--radius 1.7`` with both trees and prints whether the
-two sides' stdout and exit codes are equal.
+It then runs ``conelab integrate`` for each integrand of the tree's
+``suites.INTEGRANDS`` on ``t3-blair`` and ``s3-round`` at ``--radius 1.7``
+with both trees and prints whether the two sides' stdout and exit codes are
+equal.
 
-Exits 1 when any pair differs in identities, verdicts or exit code, moves a
-residual beyond that allowance, or when an ``integrate`` run differs in
-stdout or exit code.
+Exits 1 when the two trees declare different pairs or integrands (only the
+common ones are compared), when any pair differs in identities, verdicts or
+exit code, moves a residual beyond that allowance, or when an ``integrate``
+run differs in stdout or exit code.
 """
 
 from __future__ import annotations
@@ -43,13 +47,36 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import ATOL_SHARE, RTOL  # noqa: E402  (the gate's roundoff rule)
 
-MANIFOLDS = ("t3-blair", "t3-unnormalized", "s3-round", "s5-round")
-SUITES = ("cone-identities", "contact-axioms", "kcontact", "sasaki",
-          "weitzenboeck", "integration")
-PAIRS = [(s, m) for s in SUITES for m in MANIFOLDS] + [("hypersasaki", "s3-round")]
-INTEGRANDS = ("one", "divergence-pairing", "divergence-ricci", "f-term",
-              "solved-curvature", "rough-laplacian", "phi-norm")
 INTEGRATE_MANIFOLDS = ("t3-blair", "s3-round")
+
+# run under a tree's src: its valid (suite, manifold) pairs and its integrands
+DECLARATIONS = """
+import json
+from conelab import catalog, suites
+from conelab.report import SuiteConfig
+
+pairs = []
+for suite, spec in suites.SUITES.items():
+    for manifold in catalog.keys():
+        config = SuiteConfig(manifold=manifold, suite=suite, samples=1,
+                             jet_order=spec.jet_orders and spec.jet_orders[0],
+                             grid=1 if spec.grid else None)
+        try:
+            suites.run_suite(config)
+        except suites.SuiteUsageError:
+            continue
+        pairs.append((suite, manifold))
+print(json.dumps({"pairs": pairs, "integrands": suites.INTEGRANDS}))
+"""
+
+
+def declarations(src):
+    """(valid pairs, integrands) that the tree at ``src`` declares."""
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    done = subprocess.run([sys.executable, "-c", DECLARATIONS], env=env,
+                          capture_output=True, text=True, check=True)
+    found = json.loads(done.stdout.strip().splitlines()[-1])
+    return [tuple(pair) for pair in found["pairs"]], found["integrands"]
 
 
 def run_conelab(src, args):
@@ -105,8 +132,20 @@ def main(argv):
     sides = {"parent": parent_src, "change": change_src}
     for side in sides:
         (Path(outdir) / side).mkdir(parents=True, exist_ok=True)
-    rows, failed = [], False
-    for suite, manifold in PAIRS:
+    (pairs, integrands), (change_pairs, change_integrands) = (
+        declarations(src) for src in sides.values())
+    declarations_equal = True
+    for what, ref, new in (("pairs", pairs, change_pairs),
+                           ("integrands", integrands, change_integrands)):
+        if set(ref) != set(new):
+            declarations_equal = False
+            print(f"the trees declare different {what}: parent only "
+                  f"{[x for x in ref if x not in new]}, change only "
+                  f"{[x for x in new if x not in ref]}", file=sys.stderr)
+    pairs = [p for p in pairs if p in change_pairs]
+    integrands = [n for n in integrands if n in change_integrands]
+    rows, failed = [], not declarations_equal
+    for suite, manifold in pairs:
         paths = {side: Path(outdir) / side / f"{suite}.{manifold}.json" for side in sides}
         runs = run_both(sides, lambda side: [
             "verify", suite, "--manifold", manifold, "--report", str(paths[side])])
@@ -140,7 +179,7 @@ def main(argv):
             print(f"    {identity} {key} {want!r} -> {got!r}: {share:.3g} of allowance")
     integrate_rows = []
     for manifold in INTEGRATE_MANIFOLDS:
-        for name in INTEGRANDS:
+        for name in integrands:
             runs = run_both(sides, lambda side: [
                 "integrate", name, "--manifold", manifold, "--radius", "1.7"])
             codes = {side: run[0] for side, run in runs.items()}
@@ -155,6 +194,7 @@ def main(argv):
                   f"exit {codes['parent']}/{codes['change']}"
                   f"{'' if ok else '  VIOLATION'}", flush=True)
     summary = {
+        "declarations_equal": declarations_equal,
         "pairs": len(rows),
         "byte_equal": sum(bool(r.get("byte_equal")) for r in rows),
         "not_byte_equal": [f"{r['suite']}/{r['manifold']}" for r in rows
