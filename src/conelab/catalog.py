@@ -62,7 +62,7 @@ def _vec(fn):
         comps = fn(x)
         out = np.empty(len(comps), object)
         for i, c in enumerate(comps):
-            out[i] = c if not isinstance(c, (int, float)) else x[0] * 0.0 + c
+            out[i] = c
         return out
 
     return wrapped
@@ -128,22 +128,6 @@ def flat_t3_unnormalized() -> CatalogEntry:
 # -- round spheres ------------------------------------------------------------
 
 
-def _s3_chart() -> ManifoldChart:
-    def metric(x):
-        al = x[0]
-        c, s = cos(al), sin(al)
-        return [[1.0, 0.0, 0.0], [0.0, c * c, 0.0], [0.0, 0.0, s * s]]
-
-    return ManifoldChart(
-        dim=3,
-        coords=("alpha", "beta", "gamma"),
-        domain=((0.0, np.pi / 2), (0.0, TWO_PI), (0.0, TWO_PI)),
-        periodic=(None, TWO_PI, TWO_PI),
-        metric=metric,
-        label="s3-round",
-    )
-
-
 def s3_reeb_i() -> Callable:
     """Hopf field of the ambient complex structure i: d_beta + d_gamma."""
     return _vec(lambda x: [x[0] * 0.0, x[0] * 0.0 + 1.0, x[0] * 0.0 + 1.0])
@@ -181,77 +165,91 @@ def reeb_combination(structures, coeffs) -> Callable:
     return _vec(comps)
 
 
-def round_sphere(n: int) -> CatalogEntry:
-    """Unit round S^{2n+1} (n = 1 or 2) with its Sasakian Reeb data."""
-    if n == 1:
-        chart = _s3_chart()
-        return CatalogEntry(
-            key="s3-round",
-            chart=chart,
-            structures=tuple(
-                ContactMetricStructure(chart, xi, name, "sasakian")
-                for name, xi in (("i", s3_reeb_i()), ("j", s3_reeb_j()),
-                                 ("k", s3_reeb_k()))),
-            quadrature=(24, 16, 16),
-            # the nonnegative integrands vanish pointwise on the flat cone,
-            # so positive-weight quadrature bounds them by their sup
-            curvature_quadrature=(8, 6, 6),
-            level_set_integrals=("nonnegative",),
-            known_values={
-                "volume": 2 * np.pi**2,
-                "scalar_curvature": 6.0,
-                "einstein_constant": 2.0,
-                "ricci_reeb_deficit": 0.0,
-            },
-        )
-    if n == 2:
+def s3_round() -> CatalogEntry:
+    """Unit round S^3 with the three Sasakian Reeb fields of its quaternions."""
 
-        def metric(x):
-            al, th = x[0], x[1]
-            sa, ca = sin(al), cos(al)
-            st, ct = sin(th), cos(th)
-            z = x[0] * 0.0
-            return [
-                [1.0, z, z, z, z],
-                [z, sa * sa, z, z, z],
-                [z, z, ca * ca, z, z],
-                [z, z, z, sa * sa * (ct * ct), z],
-                [z, z, z, z, sa * sa * (st * st)],
-            ]
+    def metric(x):
+        al = x[0]
+        c, s = cos(al), sin(al)
+        return [[1.0, 0.0, 0.0], [0.0, c * c, 0.0], [0.0, 0.0, s * s]]
 
-        chart = ManifoldChart(
-            dim=5,
-            coords=("alpha", "theta", "beta", "gamma", "delta"),
-            domain=((0.0, np.pi / 2), (0.0, np.pi / 2),
-                    (0.0, TWO_PI), (0.0, TWO_PI), (0.0, TWO_PI)),
-            periodic=(None, None, TWO_PI, TWO_PI, TWO_PI),
-            metric=metric,
-            label="s5-round",
-        )
-        one = lambda x: x[0] * 0.0 + 1.0
-        xi = _vec(lambda x: [x[0] * 0.0, x[0] * 0.0, one(x), one(x), one(x)])
-        return CatalogEntry(
-            key="s5-round",
-            chart=chart,
-            structures=(ContactMetricStructure(chart, xi, "i", "sasakian"),),
-            quadrature=(16, 16, 12, 12, 12),
-            curvature_quadrature=(6, 6, 4, 4, 4),  # dim-6 cone: keep it small
-            level_set_integrals=(),
-            known_values={
-                "volume": np.pi**3,
-                "scalar_curvature": 20.0,
-                "einstein_constant": 4.0,
-                "ricci_reeb_deficit": 0.0,
-            },
-        )
-    raise ValueError("round spheres are catalogued for n = 1 and n = 2 only")
+    chart = ManifoldChart(
+        dim=3,
+        coords=("alpha", "beta", "gamma"),
+        domain=((0.0, np.pi / 2), (0.0, TWO_PI), (0.0, TWO_PI)),
+        periodic=(None, TWO_PI, TWO_PI),
+        metric=metric,
+        label="s3-round",
+    )
+    return CatalogEntry(
+        key="s3-round",
+        chart=chart,
+        structures=tuple(
+            ContactMetricStructure(chart, xi, name, "sasakian")
+            for name, xi in (("i", s3_reeb_i()), ("j", s3_reeb_j()),
+                             ("k", s3_reeb_k()))),
+        quadrature=(24, 16, 16),
+        # the nonnegative integrands vanish pointwise on the flat cone,
+        # so positive-weight quadrature bounds them by their sup
+        curvature_quadrature=(8, 6, 6),
+        level_set_integrals=("nonnegative",),
+        known_values={
+            "volume": 2 * np.pi**2,
+            "scalar_curvature": 6.0,
+            "einstein_constant": 2.0,
+            "ricci_reeb_deficit": 0.0,
+        },
+    )
+
+
+def s5_round() -> CatalogEntry:
+    """Unit round S^5 with its standard Sasakian Reeb field."""
+
+    def metric(x):
+        al, th = x[0], x[1]
+        sa, ca = sin(al), cos(al)
+        st, ct = sin(th), cos(th)
+        z = x[0] * 0.0
+        return [
+            [1.0, z, z, z, z],
+            [z, sa * sa, z, z, z],
+            [z, z, ca * ca, z, z],
+            [z, z, z, sa * sa * (ct * ct), z],
+            [z, z, z, z, sa * sa * (st * st)],
+        ]
+
+    chart = ManifoldChart(
+        dim=5,
+        coords=("alpha", "theta", "beta", "gamma", "delta"),
+        domain=((0.0, np.pi / 2), (0.0, np.pi / 2),
+                (0.0, TWO_PI), (0.0, TWO_PI), (0.0, TWO_PI)),
+        periodic=(None, None, TWO_PI, TWO_PI, TWO_PI),
+        metric=metric,
+        label="s5-round",
+    )
+    one = lambda x: x[0] * 0.0 + 1.0
+    xi = _vec(lambda x: [x[0] * 0.0, x[0] * 0.0, one(x), one(x), one(x)])
+    return CatalogEntry(
+        key="s5-round",
+        chart=chart,
+        structures=(ContactMetricStructure(chart, xi, "i", "sasakian"),),
+        quadrature=(16, 16, 12, 12, 12),
+        curvature_quadrature=(6, 6, 4, 4, 4),  # dim-6 cone: keep it small
+        level_set_integrals=(),
+        known_values={
+            "volume": np.pi**3,
+            "scalar_curvature": 20.0,
+            "einstein_constant": 4.0,
+            "ricci_reeb_deficit": 0.0,
+        },
+    )
 
 
 _BUILDERS = {
     "t3-blair": blair_t3,
     "t3-unnormalized": flat_t3_unnormalized,
-    "s3-round": lambda: round_sphere(1),
-    "s5-round": lambda: round_sphere(2),
+    "s3-round": s3_round,
+    "s5-round": s5_round,
 }
 
 

@@ -21,8 +21,11 @@ Conventions, frozen once and pinned by calibration fixtures in the tests:
 * codifferential  delta sigma = -g^{mi} (nab sigma)_{mi}   (= -div);
 * Laplacian   Delta = delta d = -tr_g Hess, so Delta(r^2) < 0 on flat space;
 * tensor norms are full sums over all index tuples in an orthonormal frame,
-  no 1/p! weight; inner products likewise.  ``frame_norm`` is the one
-  residual measure: every kernel reports sqrt|<T, T>| of its defect T.
+  no 1/p! weight; inner products likewise.  ``frame_norm`` is the residual
+  measure of most kernels, sqrt|<T, T>| of the defect T; the Killing and
+  component-wise axiom checks (``contact.killing_residuals``,
+  ``contact.kc_max_component_residuals``) report the largest orthonormal-frame
+  component of their defect instead.
 
 Component layout: contravariant indices first, then covariant.  A covariant
 derivative prepends one covariant index, i.e. (nab T)[m, ...] = nab_m T.

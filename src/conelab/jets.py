@@ -47,11 +47,8 @@ target with no pair keeps the +0 it started with.  When either truncated
 factor is not finite, the product takes the plan of all rows, so NaN and inf
 reach every coefficient they reach densely.
 
-``_compose`` is the one code that writes coefficients after construction:
-it zeroes the value row of its own copy of the argument before any fact
-about it is known, and adds each series coefficient into the value row of a
-fresh product, dropping that product's facts, pattern included (the plan
-left the value row unmarked), as it does.
+Only construction writes a jet's coefficients, so a fact, once known, holds
+for the jet's lifetime.
 
 Extracting a partial derivative lowers the available order by the derivative
 degree; going past order 0 raises ``JetOrderError``.
@@ -368,7 +365,6 @@ class Jet:
         x, y = self.truncate(order), o.truncate(order)
         a, b = x.c, y.c
         batch = _batch(x.batch, y.batch)
-        # A fresh array: _compose writes into the product's value row.
         if (x.is_zero() or y.is_zero()) and x.is_finite() and y.is_finite():
             return Jet(self.dim, order, np.zeros((len(a), batch)), zero=True)
         n = len(a)
@@ -416,44 +412,34 @@ class Jet:
 
     def _compose(self, series):
         """Horner evaluation of sum_k series[k] * (self - value)^k."""
-        u = Jet(self.dim, self.order, self.c.copy())
-        u.c[0] = 0.0
+        c = self.c.copy()
+        c[0] = 0.0
+        u = Jet(self.dim, self.order, c)
         out = Jet.constant(series[-1], self.dim, self.order)
         for k in range(len(series) - 2, -1, -1):
-            out = out * u
-            out.c[0] += series[k]
-            # the write outdates them, and the product's pattern may omit row 0
-            out._zero = out._finite = out._pattern = None
+            out = out * u + series[k]
         return out
+
+    def _compose_periodic(self, derivatives):
+        """Horner evaluation of the Taylor series whose k-th derivative at the
+        value is derivatives[k % len(derivatives)]."""
+        series, fac = [], 1.0
+        for k in range(self.order + 1):
+            if k:
+                fac *= k
+            series.append(derivatives[k % len(derivatives)] / fac)
+        return self._compose(series)
 
     def sin(self):
         v = self.value
-        table = [np.sin(v), np.cos(v), -np.sin(v), -np.cos(v)]
-        series, fac = [], 1.0
-        for k in range(self.order + 1):
-            if k:
-                fac *= k
-            series.append(table[k % 4] / fac)
-        return self._compose(series)
+        return self._compose_periodic([np.sin(v), np.cos(v), -np.sin(v), -np.cos(v)])
 
     def cos(self):
         v = self.value
-        table = [np.cos(v), -np.sin(v), -np.cos(v), np.sin(v)]
-        series, fac = [], 1.0
-        for k in range(self.order + 1):
-            if k:
-                fac *= k
-            series.append(table[k % 4] / fac)
-        return self._compose(series)
+        return self._compose_periodic([np.cos(v), -np.sin(v), -np.cos(v), np.sin(v)])
 
     def exp(self):
-        e = np.exp(self.value)
-        series, fac = [], 1.0
-        for k in range(self.order + 1):
-            if k:
-                fac *= k
-            series.append(e / fac)
-        return self._compose(series)
+        return self._compose_periodic([np.exp(self.value)])
 
     def log(self):
         v = self.value

@@ -32,10 +32,9 @@ def coordinate_rule(lo: float, hi: float, period, n: int):
 
 
 def product_rule(chart: ManifoldChart, counts):
-    """Tensor-product rule over the chart domain: (points (N, d), weights)."""
-    counts = _normalize_counts(chart.dim, counts)
-    axes = [coordinate_rule(lo, hi, period, n)
-            for (lo, hi), period, n in zip(chart.domain, chart.periodic, counts)]
+    """Tensor-product rule, one node count per coordinate: (points (N, d), weights)."""
+    axes = [coordinate_rule(lo, hi, period, n) for (lo, hi), period, n
+            in zip(chart.domain, chart.periodic, counts, strict=True)]
     grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     points = np.column_stack([g.reshape(-1) for g in grids])
     wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
@@ -45,24 +44,10 @@ def product_rule(chart: ManifoldChart, counts):
     return points, weights
 
 
-def _normalize_counts(dim, counts):
-    if isinstance(counts, (int, np.integer)):
-        return (int(counts),) * dim
-    counts = tuple(int(c) for c in counts)
-    if len(counts) != dim:
-        raise ValueError(f"need {dim} node counts, got {len(counts)}")
-    return counts
-
-
-def volume_element(chart: ManifoldChart, points):
-    g = chart.metric_values(points)
-    return np.sqrt(np.linalg.det(g))
-
-
 def integrate_chart(chart: ManifoldChart, fn, counts):
     """Integral of fn(points) -> (N,) against the chart volume form."""
     points, weights = product_rule(chart, counts)
-    dens = volume_element(chart, points)
+    dens = np.sqrt(np.linalg.det(chart.metric_values(points)))
     vals = np.asarray(fn(points), float)
     return float(np.dot(weights * dens, vals))
 
@@ -77,8 +62,5 @@ def integrate_level_set(cone, r: float, fn, counts) -> float:
     fn(base_pts, r) -> (N,) values of the integrand at the slice; the
     measure is r^{2n+1} times the base volume form.
     """
-    base = cone.base
-    points, weights = product_rule(base, counts)
-    dens = volume_element(base, points)
-    vals = np.asarray(fn(points, r), float)
-    return float(np.dot(weights * dens, vals)) * r ** (2 * cone.n + 1)
+    base_integral = integrate_chart(cone.base, lambda pts: fn(pts, r), counts)
+    return base_integral * r ** (2 * cone.n + 1)

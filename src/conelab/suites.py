@@ -422,8 +422,7 @@ def _weitzenboeck(entry, config):
         blocks = np.maximum(np.max(np.abs(b1 - b2), axis=(1, 2, 3)),
                             np.max(np.abs(m1 - m2), axis=(1, 2)))
         scaling = np.maximum.reduce([
-            weitzenboeck.scaling_ratio(getattr(d1, name), getattr(d2, name),
-                                       r1, r2, power=4)
+            weitzenboeck.scaling_ratio(getattr(d1, name), getattr(d2, name), r1, r2)
             for name in _SCALING_TERMS])
         return [prof["f-drift"], prof["f-positivity"], prof["alpha-drift"],
                 blocks, scaling], pts
@@ -548,10 +547,7 @@ def integrand_values(entry, name, data, r):
         return data.solved_rpp_sq
     if name == "rough-laplacian":
         return data.rough_sq
-    if name == "phi-norm":
-        return data.phi_sq
-    raise SuiteUsageError(
-        f"unknown integrand {name!r}; known: {', '.join(INTEGRANDS)}")
+    return data.phi_sq  # "phi-norm"
 
 
 def _level_set_integrals(entry, r, family, names, counts):
@@ -600,14 +596,12 @@ def integrate_level_set(manifold: str, r: float, integrand: str, grid=None):
 
 
 def _integration(entry, config):
-    grid = config.grid
+    grid = None if config.grid is None else _grid_counts(entry, config.grid)
     r = float(config.radii[0])
-    counts = (_grid_counts(entry, grid) if grid is not None
-              else entry.curvature_quadrature)
+    counts = grid or entry.curvature_quadrature
 
     def volume():
-        vol = quadrature.chart_volume(
-            entry.chart, grid if grid is not None else entry.quadrature)
+        vol = quadrature.chart_volume(entry.chart, grid or entry.quadrature)
         expected = entry.known_values["volume"]
         return [np.array([abs(vol - expected) / abs(expected)])], None
 

@@ -1,5 +1,6 @@
 """Suite runner, report schema, CLI behaviour, determinism."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -354,6 +355,54 @@ def test_benchmark_tracer_installs():
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_conelab_binds_what_the_benchmark_worker_reads():
+    """The benchmark worker imports only the package (and catalog and cone)
+    and then reads the suite runner and the report API through it."""
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(root / 'src')!r})\n"
+        "import conelab\n"
+        "print(conelab.suites.run_suite, conelab.report.report_json,\n"
+        "      conelab.report.SuiteConfig, conelab.__version__)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, which lives outside the package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # its dataclass looks itself up there
+    return module
+
+
+BENCHMARK_WORKLOADS = _benchmark_workloads()
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_WORKLOADS.WORKLOADS))
+def test_traced_benchmark_pass_repeats_the_recorded_counts(workload, tmp_path):
+    """One traced pass of each benchmark workload makes the jet products,
+    weitzenboeck_data passes and quadrature nodes recorded for its seed, and
+    the benchmark's gate finds no problem with any of its operations."""
+    workloads = BENCHMARK_WORKLOADS
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "worker.py"), "--workload",
+         workload, "--seed", "0", "--passes", "1", "--trace",
+         str(tmp_path / "spans.jsonl")],
+        capture_output=True, text=True, cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    [record] = result["passes"]
+    recorded = workloads.load_reference()["counts"][f"{workload}|{record['seed']}"]
+    assert {name: record["totals"].get(name, 0) for name in workloads.EXACT_COUNTS} \
+        == {name: recorded[name] for name in workloads.EXACT_COUNTS}
+    assert result["ops"] and not [op for op in result["ops"] if op["problems"]]
 
 
 @pytest.mark.parametrize("suite, manifold, orders", [

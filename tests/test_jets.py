@@ -128,7 +128,7 @@ def test_zero_factor_propagates_non_finite_and_returns_a_fresh_array():
     assert np.isnan(want).any() and not np.isnan(want).all()
     for prod in prods:
         np.testing.assert_array_equal(prod.coeffs, want)
-    # the zero product is written in place (as _compose does): nothing else moves
+    # the zero product owns a fresh array: a write into it moves nothing else
     b = jet_from_rows(dim, order, rows)
     z = zero * b
     z.c[0] += 1.0
@@ -243,8 +243,8 @@ def test_chains_of_operations_match_dense_oracles(case):
 
 def test_exp_of_a_constant_is_nonzero_after_the_horner_writes():
     """Every Horner product of exp(const) has a zero factor, so each is
-    marked zero before _compose writes its value row; the write must drop
-    that mark, or the result would multiply as zero."""
+    known zero; adding the series coefficient to it must give a jet that is
+    not, or the result would multiply as zero."""
     dim, order = 2, 3
     c = np.array([0.5, -1.0])
     e = Jet.constant(c, dim, order).exp()
@@ -271,9 +271,9 @@ def dense_compose(dim, order, a, series):
 
 
 def test_primitives_of_a_jet_with_few_nonzero_rows_see_every_horner_write():
-    """After each Horner product _compose writes the value row, which the
-    product's pattern does not mark (its factor u has a zero value row); the
-    next product must still pair it.  Each primitive equals the dense Horner
+    """After each Horner product _compose adds a series coefficient to the
+    value row, which the product's pattern does not mark (its factor u has a
+    zero value row); the next product must still pair it.  Each primitive equals the dense Horner
     evaluation bit for bit, and exp the closed form."""
     dim, order = 2, 5
     tab = _table(dim, order)
@@ -284,7 +284,7 @@ def test_primitives_of_a_jet_with_few_nonzero_rows_see_every_horner_write():
     for alpha, c in (((0, 1), 0.5), ((0, 2), 0.3), ((2, 1), -0.2)):
         a[:, tab.pos[alpha]] = c
     f = jet_from_rows(dim, order, a)
-    f.pattern()  # handed on to u in _compose
+    f.pattern()  # known here; u in _compose, a copy with row 0 zeroed, scans its own
     fac = np.cumprod([1.0] + list(range(1, order + 1)))
     k = np.arange(order + 1)[:, None]
     series = {

@@ -36,8 +36,8 @@ def test_grid_refinement_agreement(blair):
     def fn(pts):
         return 1.0 + np.cos(pts[:, 0]) ** 2 * np.sin(pts[:, 1])
 
-    v32 = Q.integrate_chart(blair.chart, fn, 32)
-    v64 = Q.integrate_chart(blair.chart, fn, 64)
+    v32 = Q.integrate_chart(blair.chart, fn, (32,) * 3)
+    v64 = Q.integrate_chart(blair.chart, fn, (64,) * 3)
     assert abs(v32 - v64) < 1e-9
 
 
