@@ -72,14 +72,14 @@ class ManifoldChart:
 
     # -- domain handling ------------------------------------------------
 
-    def contains(self, point) -> bool:
-        for v, (lo, hi), period in zip(point, self.domain, self.periodic):
-            if period is None and not (lo < v < hi):
-                return False
-        return True
-
-    def require_inside(self, point):
-        if not self.contains(point):
+    def require_inside(self, points):
+        """Raise DomainError for the first of a batch of points that lies
+        outside a non-periodic coordinate interval."""
+        lo, hi = np.array(self.domain, float).T
+        walled = np.array([period is None for period in self.periodic])
+        outside = (walled & ~((lo < points) & (points < hi))).any(axis=1)
+        if outside.any():
+            point = points[outside.argmax()]
             raise DomainError(f"point {tuple(point)} outside domain of {self.label}")
 
     def check_spd(self, points):
@@ -97,15 +97,21 @@ class ManifoldChart:
     # -- sampling ---------------------------------------------------------
 
     def sample_points(self, n: int, rng: SplitMix64) -> np.ndarray:
-        """n interior points; margin kept from non-periodic boundaries."""
-        pts = np.empty((n, self.dim))
-        for k in range(n):
-            for i, ((lo, hi), period) in enumerate(zip(self.domain, self.periodic)):
-                if period is None:
-                    pts[k, i] = rng.uniform(lo + SAMPLE_MARGIN, hi - SAMPLE_MARGIN)
-                else:
-                    pts[k, i] = rng.uniform(lo, lo + period)
-        return pts
+        """n interior points; margin kept from non-periodic boundaries.
+
+        One block of n * dim uniforms, point by point in coordinate order.
+        """
+        lo, hi = [], []
+        for (a, b), period in zip(self.domain, self.periodic):
+            if period is None:
+                a, b = a + SAMPLE_MARGIN, b - SAMPLE_MARGIN
+            else:
+                b = a + period
+            lo.append(a)
+            hi.append(b)
+        lo = np.array(lo, float)
+        u = rng.uniforms(n * self.dim).reshape(n, self.dim)
+        return lo + u * (np.array(hi, float) - lo)
 
     def validate(self):
         """SPD at 25 random probes plus a periodicity spot-check."""
@@ -129,6 +135,5 @@ def jet_point(chart: ManifoldChart, points, order: int) -> list:
     pts = np.atleast_2d(np.asarray(points, float))
     if pts.shape[1] != chart.dim:
         raise DomainError(f"expected {chart.dim} coordinates, got {pts.shape[1]}")
-    for p in pts:
-        chart.require_inside(p)
+    chart.require_inside(pts)
     return Jet.variables(pts, order)

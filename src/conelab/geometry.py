@@ -45,10 +45,7 @@ from .jets import Jet
 
 
 def tmap(fn, T):
-    out = np.empty(T.shape, object)
-    for idx in np.ndindex(*T.shape):
-        out[idx] = fn(T[idx])
-    return out
+    return np.frompyfunc(fn, 1, 1)(T, out=np.empty(T.shape, object))
 
 
 def dpartial(T, i):
@@ -70,19 +67,17 @@ def constant_tensor(values, dim, order) -> np.ndarray:
     """Object tensor of constant jets from (batch,) + shape float values."""
     values = np.asarray(values, float)
     out = np.empty(values.shape[1:], object)
-    for idx in np.ndindex(*out.shape):
-        out[idx] = Jet.constant(values[(slice(None),) + idx], dim, order)
+    out.flat = [Jet.constant(v, dim, order) for v in values.reshape(len(values), -1).T]
     return out
 
 
 def tvalues(T) -> np.ndarray:
     """Float values of an object tensor, shape (batch,) + T.shape."""
-    first = T[next(iter(np.ndindex(*T.shape)))] if T.shape else T[()]
-    batch = first.batch
-    out = np.empty((batch,) + T.shape)
-    for idx in np.ndindex(*T.shape):
-        out[(slice(None),) + idx] = T[idx].value
-    return out
+    entries = T.ravel()
+    out = np.empty((entries[0].batch, len(entries)))
+    for k, v in enumerate(entries):
+        out[:, k] = v.c[0]
+    return out.reshape(out.shape[:1] + T.shape)
 
 
 # no caller; named only by perfbench/tracing.py's SPAN_GROUPS
@@ -203,6 +198,10 @@ class PointGeometry:
     @_cached
     def riemann_low(self):
         """Rlow[i, j, k, l] = g(R(d_i, d_j) d_k, d_l)."""
+        # d^5 products (1,024 on a 4-dimensional cone), but the only reader,
+        # weitzenboeck's rho*, takes the blocks with i < j (384 of them): the
+        # other 640 are formed and never read.  Forming only those blocks
+        # moves the benchmark's pinned product counts.
         return np.tensordot(np.moveaxis(self.riemann, 0, -1), self.g, axes=([3], [0]))
 
     @_cached

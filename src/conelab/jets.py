@@ -50,6 +50,18 @@ reach every coefficient they reach densely.
 Only construction writes a jet's coefficients, so a fact, once known, holds
 for the jet's lifetime.
 
+The ring operations are called about 200k times in one pass over the
+identity suites, mostly on small tables, so their Python overhead is most
+of their cost.  They read the cached facts as attributes and call a scanner
+only for a fact still unknown; operands of one order skip truncation and
+operands of one batch skip broadcasting.  ``x - y`` subtracts directly,
+without building -y: IEEE 754 defines a - b as a + (-b), so the bits are
+those of the sum with the negation, signed zeros included (only the sign of
+a NaN, which the standard leaves unspecified, may differ).  Every product
+enters through ``Jet.__mul__`` (or ``__rmul__``, the same function) and
+keeps the order and batch it would have densely; the benchmark counts
+products there, so no caller reaches the product's internals directly.
+
 Extracting a partial derivative lowers the available order by the derivative
 degree; going past order 0 raises ``JetOrderError``.
 """
@@ -153,8 +165,9 @@ class _JetTable:
 
     @property
     def diff(self):
-        # diff[i] = (source index, factor) rows graded like the index list;
-        # the first sizes[k-1] rows differentiate an order-k jet.
+        # diff[i] = (source rows, factor column) of d/dx_i: row t of the
+        # partial, one for each multi-index of degree < order, is the source
+        # row times its factor.
         if self._diff is None:
             maps = []
             for i in range(self.dim):
@@ -165,7 +178,7 @@ class _JetTable:
                     shifted[i] += 1
                     src[t] = self.pos[tuple(shifted)]
                     fac[t] = alpha[i] + 1
-                maps.append((src, fac))
+                maps.append((src, fac[:, None]))
             self._diff = maps
         return self._diff
 
@@ -175,6 +188,13 @@ def _batch(m, n):
     if m != n and 1 not in (m, n):
         raise ValueError(f"jet batches {m} and {n} do not broadcast")
     return max(m, n)
+
+
+def _union(pa, pb):
+    """The pattern of a sum: the union of its operands', if both are known."""
+    if pa is None or pb is None:
+        return None
+    return pa | pb
 
 
 def _as_batch(value):
@@ -301,47 +321,69 @@ class Jet:
             raise JetOrderError("derivative requested beyond jet order")
         if self._zero:
             return self.truncate(self.order - 1)
-        tab = _table(self.dim, self.order)
-        src, fac = tab.diff[i]
-        n = tab.sizes[self.order - 1]
-        pattern = None if self._pattern is None else self._pattern[src[:n]]
-        return Jet(self.dim, self.order - 1, self.c[src[:n]] * fac[:n, None], pattern=pattern)
+        src, fac = _table(self.dim, self.order).diff[i]
+        pattern = None if self._pattern is None else self._pattern[src]
+        return Jet(self.dim, self.order - 1, self.c.take(src, 0) * fac, pattern=pattern)
 
     # -- ring operations ---------------------------------------------------
+    #
+    # ``x._zero or x.is_zero()`` reads a known fact without a call when it is
+    # True and scans an unknown one; a known False costs one call.
 
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            if other.dim != self.dim:
-                raise ValueError("jet dimension mismatch")
-            return other
-        return None
+    def _operands(self, other):
+        """self and other truncated to their common order."""
+        if other.dim != self.dim:
+            raise ValueError("jet dimension mismatch")
+        if other.order > self.order:
+            return self, other.truncate(self.order)
+        if other.order < self.order:
+            return self.truncate(other.order), other
+        return self, other
+
+    def _with_scalar(self, v):
+        """A copy, broadcast against v, whose value row is still to be set."""
+        c = np.empty((len(self.c), max(self.c.shape[1], len(v))))
+        c[:] = self.c
+        return c
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, Jet):
             v = _as_batch(other)
-            c = np.empty((len(self.c), max(self.batch, len(v))))
-            c[:] = self.c
+            c = self._with_scalar(v)
             c[0] += v
             return Jet(self.dim, self.order, c)
-        order = min(self.order, o.order)
-        x, y = self.truncate(order), o.truncate(order)
-        if y.is_zero():
-            return x._widen(_batch(x.batch, y.batch))
-        if x.is_zero():
-            return y._widen(_batch(x.batch, y.batch))
-        pattern = None
-        if x._pattern is not None and y._pattern is not None:
-            pattern = x._pattern | y._pattern
-        return Jet(self.dim, order, x.c + y.c, pattern=pattern)
+        x, y = self._operands(other)
+        if y._zero or y.is_zero():
+            return x._widen(y.c.shape[1])
+        if x._zero or x.is_zero():
+            return y._widen(x.c.shape[1])
+        return Jet(x.dim, x.order, x.c + y.c, pattern=_union(x._pattern, y._pattern))
 
     __radd__ = __add__
 
-    def _widen(self, batch):
-        """This jet, or a copy broadcast to a larger batch."""
-        if batch == self.batch:
+    def __sub__(self, other):
+        # directly, not as self + (-other): the same bits (module docstring)
+        if not isinstance(other, Jet):
+            v = _as_batch(other)
+            c = self._with_scalar(v)
+            c[0] -= v
+            return Jet(self.dim, self.order, c)
+        x, y = self._operands(other)
+        if y._zero or y.is_zero():
+            return x._widen(y.c.shape[1])
+        if x._zero or x.is_zero():
+            return (-y)._widen(x.c.shape[1])
+        return Jet(x.dim, x.order, x.c - y.c, pattern=_union(x._pattern, y._pattern))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _widen(self, other_batch):
+        """This jet, or a copy broadcast against another operand's batch."""
+        batch = self.c.shape[1]
+        if batch == other_batch or _batch(batch, other_batch) == batch:
             return self
-        c = np.empty((len(self.c), batch))
+        c = np.empty((len(self.c), other_batch))
         c[:] = self.c
         return Jet(self.dim, self.order, c, self._zero, self._finite, self._pattern)
 
@@ -350,50 +392,50 @@ class Jet:
             return self
         return Jet(self.dim, self.order, -self.c, self._zero, self._finite, self._pattern)
 
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -np.asarray(other, float))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, Jet):
             w = _as_batch(other)
             return Jet(self.dim, self.order, self.c * w[None, :])
-        order = min(self.order, o.order)
-        x, y = self.truncate(order), o.truncate(order)
+        if (self._zero or other._zero) and self._finite and other._finite \
+                and other.dim == self.dim:
+            # known zero and finite, so also once truncated: no truncated copies
+            low = self if self.order <= other.order else other
+            m, k = self.c.shape[1], other.c.shape[1]
+            return Jet(self.dim, low.order, np.zeros((len(low.c), m if m == k else _batch(m, k))),
+                       zero=True)
+        x, y = self._operands(other)
         a, b = x.c, y.c
-        batch = _batch(x.batch, y.batch)
-        if (x.is_zero() or y.is_zero()) and x.is_finite() and y.is_finite():
-            return Jet(self.dim, order, np.zeros((len(a), batch)), zero=True)
-        n = len(a)
-        if self._finite_to(order) and o._finite_to(order):
-            pa, pb = self.pattern()[:n], o.pattern()[:n]
+        n, batch = a.shape
+        if batch != b.shape[1]:
+            batch = _batch(batch, b.shape[1])
+        if ((x._zero or x.is_zero() or y._zero or y.is_zero())
+                and (x._finite or x.is_finite()) and (y._finite or y.is_finite())):
+            return Jet(x.dim, x.order, np.zeros((n, batch)), zero=True)
+        if self._finite_to(x.order) and other._finite_to(x.order):
+            pa, pb = self.pattern()[:n], other.pattern()[:n]
         else:  # every pair, so that NaN and inf reach the targets they reach densely
             pa = pb = np.ones(n, bool)
-        (first, *later), targets, pattern = _table(self.dim, order).plan(pa, pb)
+        (first, *later), targets, pattern = _table(x.dim, x.order).plan(pa, pb)
         # Round 0 starts each target's sum at +0; round k adds its k-th pair.
         # Forming a round only when it is added keeps every temporary at one
         # round's size.  One (pairs, batch) array of all pairs, up to 8 MB at
         # the integration batches, made glibc's allocator hand pages back
         # and fault them in again: 7x the page faults of an `integration`
         # op on t3-blair.
-        acc = a[first[0]] * b[first[1]]
+        acc = a.take(first[0], 0) * b.take(first[1], 0)
         acc += 0.0
         for left, right in later:
-            acc[:len(left)] += a[left] * b[right]
+            acc[:len(left)] += a.take(left, 0) * b.take(right, 0)
         c = np.zeros((n, batch))
         c[targets] = acc
-        return Jet(self.dim, order, c, pattern=pattern)
+        return Jet(x.dim, x.order, c, pattern=pattern)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, Jet):
             return self * (1.0 / _as_batch(other))
-        return self * o.reciprocal()
+        return self * other.reciprocal()
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other

@@ -192,7 +192,7 @@ def _draw(entry, config):
     pts = entry.chart.sample_points(B, rng)
     radii = rng.uniforms(B, R_LO, R_HI)
     d = entry.chart.dim
-    dirs = [np.array([rng.unit_vector(d) for _ in range(B)]) for _ in range(3)]
+    dirs = [rng.unit_vectors(B, d) for _ in range(3)]
     return rng, pts, radii, dirs
 
 
@@ -395,8 +395,7 @@ def _weitzenboeck(entry, config):
     sympl = contact.ConeSymplecticData(cone_mod.build_cone(entry.chart),
                                        entry.structures[0])
     rng, pts, radii, dirs = _draw(entry, config)
-    dirs4 = np.array([rng.unit_vector(entry.chart.dim + 1)
-                      for _ in range(len(pts))])
+    dirs4 = rng.unit_vectors(len(pts), entry.chart.dim + 1)
     cpts = _cone_points(pts, radii)
     order = config.jet_order
     # radial structure: two more passes at fixed radii over the same points
@@ -488,7 +487,7 @@ def _hypersasaki(entry, config):
     if len(sasakian) >= 3:
         # a random unit combination of the triple must itself be Sasakian
         # and land back on the unit sphere of the triple
-        raw = np.array([rng.uniform(-1, 1) for _ in range(3)])
+        raw = rng.uniforms(3, -1, 1)
         raw = raw / np.linalg.norm(raw)
 
         def random_member():

@@ -49,6 +49,5 @@ def sample(chart, n, seed=0xC0FFEE):
     gen = SplitMix64(seed)
     pts = chart.sample_points(n, gen)
     radii = gen.uniforms(n, 0.5, 3.0)
-    dirs = [np.array([gen.unit_vector(chart.dim) for _ in range(n)])
-            for _ in range(3)]
+    dirs = [gen.unit_vectors(n, chart.dim) for _ in range(3)]
     return pts, radii, dirs

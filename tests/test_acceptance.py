@@ -38,8 +38,7 @@ def _draw(chart, n=SAMPLES, seed=0xACCE97):
     rng = SplitMix64(seed)
     pts = chart.sample_points(n, rng)
     radii = rng.uniforms(n, 0.5, 3.0)
-    dirs = [np.array([rng.unit_vector(chart.dim) for _ in range(n)])
-            for _ in range(3)]
+    dirs = [rng.unit_vectors(n, chart.dim) for _ in range(3)]
     return rng, pts, radii, dirs
 
 
@@ -137,7 +136,7 @@ def test_criterion_5_weitzenboeck_blair_cone():
     data = W.weitzenboeck_data(sympl, pts, radii)
 
     star = np.max(W.star_scalar_consistency(data))
-    dirs = np.array([rng.unit_vector(4) for _ in range(len(pts))])
+    dirs = rng.unit_vectors(len(pts), 4)
     phi_id = np.max(W.phi_identity_residuals(data, dirs))
     nonneg = float(np.min(data.solved_rpp_sq))
 
@@ -192,7 +191,7 @@ def test_criterion_7_structure_algebra():
                P.quaternion_relation_residuals(pair, cpts, lam).values())
     _, resid_k, unit_k = P.s2_family_coefficients(pair, sympl("k"), cpts, lam)
 
-    raw = np.array([rng.uniform(-1, 1) for _ in range(3)])
+    raw = rng.uniforms(3, -1, 1)
     a, b, c_ = raw / np.linalg.norm(raw)
     st = CT.ContactMetricStructure(
         entry.chart, catalog.reeb_combination(entry.structures, (a, b, c_)),

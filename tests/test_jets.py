@@ -484,3 +484,110 @@ def test_truncation_is_prefix():
     t = f.truncate(2)
     assert t.order == 2
     assert np.allclose(t.coeffs, f.coeffs[:, : t.coeffs.shape[1]])
+
+
+def bits_equal(got, want):
+    """Equal as int64 bits, so the sign of zero counts.  A NaN matches a NaN:
+    IEEE 754 leaves its sign unspecified, and a - NaN and a + (-NaN) differ
+    in it."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    if got.shape != want.shape:
+        return False
+    nan = np.isnan(got)
+    return (np.array_equal(nan, np.isnan(want))
+            and np.array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan]))
+
+
+def assert_facts_cover(fast, general):
+    """Every fact the fast result carries is true, and it knows at least what
+    the general result knows: the same zero and finite facts, and a pattern
+    marking every row that the general pattern marks."""
+    scan = Jet(fast.dim, fast.order, fast.c.copy())
+    assert fast._zero is None or fast._zero == scan.is_zero()
+    assert fast._finite is None or fast._finite == scan.is_finite()
+    assert general._zero is None or fast._zero == general._zero
+    assert general._finite is None or fast._finite == general._finite
+    if fast._pattern is not None:
+        assert fast._pattern[scan.pattern()].all()
+    if general._pattern is not None:
+        assert fast._pattern is not None and fast._pattern[general._pattern].all()
+
+
+@st.composite
+def fast_path_cases(draw):
+    dim = draw(st.integers(1, 4))
+    top = max(k for k in range(6) if len(_table(dim, k).exps) <= 56)
+    orders = draw(st.tuples(st.integers(0, top), st.integers(0, top)))
+    batch = draw(st.integers(2, 4))
+    batches = draw(st.sampled_from([(batch, batch), (1, batch), (batch, 1), (1, 1)]))
+    zeros = draw(st.sampled_from([(False, False), (True, False), (False, True), (True, True)]))
+    # how each operand knows its facts: not at all, scanned, or handed on
+    # (a pattern marking more rows than are nonzero)
+    facts = draw(st.tuples(*[st.sampled_from(["none", "scanned", "handed"])] * 2))
+    bad = draw(st.none() | st.tuples(st.integers(0, 1), st.floats(0, 1, exclude_max=True),
+                                     st.sampled_from([np.nan, np.inf, -np.inf])))
+    return dim, orders, batches, zeros, facts, bad, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fast_path_cases())
+def test_ring_fast_paths_equal_the_general_composition_bit_for_bit(case):
+    """x - y against x + (-y), and sums and products of operands with cached
+    or handed-on facts against the same operation on operands whose facts
+    are scanned afresh: the same bits, signed zeros included, and results
+    whose facts cover the general path's.  Covers a zero operand on either
+    side, NaN and inf, mixed orders and batch-1 broadcasting.  (Negation is
+    left out: a known-zero jet is its own negation, so the sign of its zero
+    coefficients depends on whether the fact was known.)"""
+    dim, orders, batches, zeros, facts, bad, seed = case
+    rng = np.random.default_rng(seed)
+    low = len(_table(dim, min(orders)).exps)
+    rows = []
+    for k, n, zero in zip(orders, batches, zeros):
+        c = rng.normal(size=(n, len(_table(dim, k).exps)))
+        c[:, rng.random(c.shape[1]) < 0.5] = 0.0
+        c[:, rng.random(c.shape[1]) < 0.2] = -0.0
+        if zero:
+            c[:, :low] = rng.choice([0.0, -0.0], size=(n, low))
+        rows.append(c)
+    if bad is not None:
+        which, where, value = bad
+        rows[which][-1, int(where * rows[which].shape[1])] = value
+
+    def operand(i, how):
+        jet = jet_from_rows(dim, orders[i], rows[i].copy())
+        if how == "scanned":
+            jet.is_zero(), jet.is_finite(), jet.pattern()
+        elif how == "handed":
+            extra = np.random.default_rng(seed + i).random(len(jet.c)) < 0.3
+            jet._pattern = (jet.c != 0).any(axis=1) | extra
+        return jet
+
+    def fast(i):
+        return operand(i, facts[i])
+
+    def fresh(i):
+        return operand(i, "none")
+
+    scalar = rng.normal(size=max(batches))
+    scalar[0] = -0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        pairs = [
+            (fast(0) - fast(1), fast(0) + (-fast(1))),
+            (fast(1) - fast(0), fast(1) + (-fast(0))),
+            (fast(0) - scalar, fast(0) + (-scalar)),
+            (scalar - fast(1), (-fast(1)) + scalar),
+            (fast(0) + fast(1), fresh(0) + fresh(1)),
+            (fast(1) + fast(0), fresh(1) + fresh(0)),
+            (fast(0) * fast(1), fresh(0) * fresh(1)),
+            (fast(1) * fast(0), fresh(1) * fresh(0)),
+        ]
+        x, y = fast(0), fast(1)
+        for _ in range(2):  # the second round reads every fact from the cache
+            pairs.append((x * y, fresh(0) * fresh(1)))
+            pairs.append((x - y, fresh(0) + (-fresh(1))))
+    for got, want in pairs:
+        assert (got.dim, got.order, got.batch) == (want.dim, want.order, want.batch)
+        assert bits_equal(got.c, want.c)
+        assert got.c.flags.c_contiguous
+        assert_facts_cover(got, want)

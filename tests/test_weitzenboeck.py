@@ -53,7 +53,7 @@ def test_blair_star_scalar_values(blair_data):
 
 def test_phi_norm_identity(blair_data, rng):
     _, pts, radii, data = blair_data
-    dirs = np.array([rng.unit_vector(4) for _ in range(len(pts))])
+    dirs = rng.unit_vectors(len(pts), 4)
     assert np.max(W.phi_identity_residuals(data, dirs)) < 1e-12
 
 
