@@ -249,6 +249,7 @@ class PointGeometry:
         return -np.tensordot(self.ginv, hess, 2)[()]
 
     # -- index gymnastics ---------------------------------------------------
+    # no caller (raise_index, lower_index); named only by perfbench/tracing.py
 
     def raise_index(self, T, axis):
         """g^{ab} contraction on a covariant slot of an object tensor."""
@@ -281,6 +282,7 @@ def exterior_derivative(T):
     return out
 
 
+# no caller; named only by perfbench/tracing.py's SPAN_GROUPS
 def wedge_oneform(sigma, tau, degree):
     """sigma ^ tau for a 1-form sigma and p-form tau (full component arrays).
 

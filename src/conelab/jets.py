@@ -13,39 +13,46 @@ Horner evaluations of the outer function's univariate Taylor series in the
 zero-constant part of the argument; on polynomial data the arithmetic is
 exact up to roundoff.
 
+One computation has one batch: jets of different batches do not combine
+(``ValueError``), and a plain number or array has length 1 or the jet's
+batch.
+
 Structural zeros are common (constant chart entries, the cone's radial
 blocks), so each jet caches two facts about its coefficients: whether all
 are zero and whether all are finite.  Each is scanned at most once, and only
-when asked; operations that know a fact hand it on.  The zero rule: a product
-with an identically zero factor returns fresh zeros without multiplying, as
-long as both truncated factors are finite (a NaN or inf must still
-propagate), and the result is known zero.  A sum with a zero operand returns
-the other operand, truncated and if need be broadcast, without adding.
-Negation keeps both facts (a zero jet is its own negation), truncation keeps
-zero and finite, and a zero jet's partial is zero.
+when asked; operations that know a fact hand it on.  A product makes one
+zero decision, on its operands as they are: when either is zero and both
+are finite to the lower order (a NaN or inf must still propagate), it
+returns fresh zeros at that order, known zero, without multiplying.  A
+factor that is zero only up to the lower order is multiplied out instead,
+which gives the same +0 bits (below).  A sum with a zero operand returns
+the other operand, truncated.  Negation keeps both facts (a zero jet is its
+own negation), truncation keeps zero and finite, and a zero jet's partial
+is zero.
 
 Nonzero jets are sparse too: most entries depend on one or two variables.
 So each jet also caches its row pattern, a mask of the coefficient rows that
 are not identically zero across the batch.  The pattern is conservative: a
 marked row may be zero, an unmarked row is exactly zero.  Products, sums
-(the union), truncation (a prefix), negation, broadcasting and partials (the
-mask through the derivative map) hand it on; a jet scans for it only when a
-product needs it and nothing handed it on.  A product looks up, by the two
-factors' patterns, a plan on its ``_JetTable``: the left and right rows of
-the pairs whose rows are both marked and whose degrees fit the order, laid
-out in rounds: the targets (the summed multi-indices) are sorted by
-descending pair count, and round k holds the k-th pair of each target that
-has one, so those targets are a prefix of the sorted list.  The product
-forms round 0 and adds +0 to it, forms each later round and adds it into the
-prefix of its targets with one contiguous add, and scatters the sums into a
-fresh array of zeros.  So every target sums its pairs from +0 in
-lexicographic order of the left multi-index, and the result is the dense
-product bit for bit: a skipped pair is the product of an exactly zero row
-and a finite one, so it is +0 or -0, and a sum that starts at +0 never
-becomes -0 (x + (-x) is +0), so adding +0 or -0 to it changes nothing; a
-target with no pair keeps the +0 it started with.  When either truncated
-factor is not finite, the product takes the plan of all rows, so NaN and inf
-reach every coefficient they reach densely.
+(the union), truncation (a prefix), negation and partials (the mask through
+the derivative map) hand it on; a jet scans for it only when a product
+needs it and nothing handed it on.  A product reads both factors at their
+common order as row-prefix views and looks up, by the two factors'
+patterns, a plan on its ``_JetTable``: the left and right rows of the pairs
+whose rows are both marked and whose degrees fit the order, laid out in
+rounds: the targets (the summed multi-indices) are sorted by descending
+pair count, and round k holds the k-th pair of each target that has one, so
+those targets are a prefix of the sorted list.  The product forms round 0
+and adds +0 to it, forms each later round and adds it into the prefix of
+its targets with one contiguous add, and scatters the sums into a fresh
+array of zeros.  So every target sums its pairs from +0 in lexicographic
+order of the left multi-index, and the result is the dense product bit for
+bit: a skipped pair is the product of an exactly zero row and a finite one,
+so it is +0 or -0, and a sum that starts at +0 never becomes -0 (x + (-x)
+is +0), so adding +0 or -0 to it changes nothing; a target with no pair
+keeps the +0 it started with.  When either factor is not finite to the
+common order, the product takes the plan of all rows, so NaN and inf reach
+every coefficient they reach densely.
 
 Only construction writes a jet's coefficients, so a fact, once known, holds
 for the jet's lifetime.
@@ -53,14 +60,14 @@ for the jet's lifetime.
 The ring operations are called about 200k times in one pass over the
 identity suites, mostly on small tables, so their Python overhead is most
 of their cost.  They read the cached facts as attributes and call a scanner
-only for a fact still unknown; operands of one order skip truncation and
-operands of one batch skip broadcasting.  ``x - y`` subtracts directly,
-without building -y: IEEE 754 defines a - b as a + (-b), so the bits are
-those of the sum with the negation, signed zeros included (only the sign of
-a NaN, which the standard leaves unspecified, may differ).  Every product
-enters through ``Jet.__mul__`` (or ``__rmul__``, the same function) and
-keeps the order and batch it would have densely; the benchmark counts
-products there, so no caller reaches the product's internals directly.
+only for a fact still unknown; operands of one order skip truncation.
+``x - y`` subtracts directly, without building -y: IEEE 754 defines a - b
+as a + (-b), so the bits are those of the sum with the negation, signed
+zeros included (only the sign of a NaN, which the standard leaves
+unspecified, may differ).  Every product enters through ``Jet.__mul__`` (or
+``__rmul__``, the same function) and keeps the order and batch it would
+have densely; the benchmark counts products there, so no caller reaches the
+product's internals directly.
 
 Extracting a partial derivative lowers the available order by the derivative
 degree; going past order 0 raises ``JetOrderError``.
@@ -183,13 +190,6 @@ class _JetTable:
         return self._diff
 
 
-def _batch(m, n):
-    """The batch of a result from operands of batches m and n."""
-    if m != n and 1 not in (m, n):
-        raise ValueError(f"jet batches {m} and {n} do not broadcast")
-    return max(m, n)
-
-
 def _union(pa, pb):
     """The pattern of a sum: the union of its operands', if both are known."""
     if pa is None or pb is None:
@@ -303,9 +303,9 @@ class Jet:
             self._pattern = (self.c != 0).any(axis=1)
         return self._pattern
 
-    def _finite_to(self, order):
-        """Whether the rows up to ``order`` are finite; the full scan is cached."""
-        return self.is_finite() or self.truncate(order).is_finite()
+    def _finite_to(self, n):
+        """Whether the first n rows are finite; the full scan is cached."""
+        return self._finite or self.is_finite() or bool(np.isfinite(self.c[:n]).all())
 
     def truncate(self, order):
         if order >= self.order:
@@ -332,31 +332,24 @@ class Jet:
 
     def _operands(self, other):
         """self and other truncated to their common order."""
-        if other.dim != self.dim:
-            raise ValueError("jet dimension mismatch")
+        if other.dim != self.dim or other.c.shape[1] != self.c.shape[1]:
+            raise ValueError(f"{self} and {other} do not combine")
         if other.order > self.order:
             return self, other.truncate(self.order)
         if other.order < self.order:
             return self.truncate(other.order), other
         return self, other
 
-    def _with_scalar(self, v):
-        """A copy, broadcast against v, whose value row is still to be set."""
-        c = np.empty((len(self.c), max(self.c.shape[1], len(v))))
-        c[:] = self.c
-        return c
-
     def __add__(self, other):
         if not isinstance(other, Jet):
-            v = _as_batch(other)
-            c = self._with_scalar(v)
-            c[0] += v
+            c = self.c.copy()
+            c[0] += _as_batch(other)
             return Jet(self.dim, self.order, c)
         x, y = self._operands(other)
         if y._zero or y.is_zero():
-            return x._widen(y.c.shape[1])
+            return x
         if x._zero or x.is_zero():
-            return y._widen(x.c.shape[1])
+            return y
         return Jet(x.dim, x.order, x.c + y.c, pattern=_union(x._pattern, y._pattern))
 
     __radd__ = __add__
@@ -364,28 +357,18 @@ class Jet:
     def __sub__(self, other):
         # directly, not as self + (-other): the same bits (module docstring)
         if not isinstance(other, Jet):
-            v = _as_batch(other)
-            c = self._with_scalar(v)
-            c[0] -= v
+            c = self.c.copy()
+            c[0] -= _as_batch(other)
             return Jet(self.dim, self.order, c)
         x, y = self._operands(other)
         if y._zero or y.is_zero():
-            return x._widen(y.c.shape[1])
+            return x
         if x._zero or x.is_zero():
-            return (-y)._widen(x.c.shape[1])
+            return -y
         return Jet(x.dim, x.order, x.c - y.c, pattern=_union(x._pattern, y._pattern))
 
     def __rsub__(self, other):
         return (-self) + other
-
-    def _widen(self, other_batch):
-        """This jet, or a copy broadcast against another operand's batch."""
-        batch = self.c.shape[1]
-        if batch == other_batch or _batch(batch, other_batch) == batch:
-            return self
-        c = np.empty((len(self.c), other_batch))
-        c[:] = self.c
-        return Jet(self.dim, self.order, c, self._zero, self._finite, self._pattern)
 
     def __neg__(self):
         if self._zero:
@@ -394,28 +377,20 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            w = _as_batch(other)
-            return Jet(self.dim, self.order, self.c * w[None, :])
-        if (self._zero or other._zero) and self._finite and other._finite \
-                and other.dim == self.dim:
-            # known zero and finite, so also once truncated: no truncated copies
-            low = self if self.order <= other.order else other
-            m, k = self.c.shape[1], other.c.shape[1]
-            return Jet(self.dim, low.order, np.zeros((len(low.c), m if m == k else _batch(m, k))),
-                       zero=True)
-        x, y = self._operands(other)
-        a, b = x.c, y.c
-        n, batch = a.shape
-        if batch != b.shape[1]:
-            batch = _batch(batch, b.shape[1])
-        if ((x._zero or x.is_zero() or y._zero or y.is_zero())
-                and (x._finite or x.is_finite()) and (y._finite or y.is_finite())):
-            return Jet(x.dim, x.order, np.zeros((n, batch)), zero=True)
-        if self._finite_to(x.order) and other._finite_to(x.order):
+            return Jet(self.dim, self.order, self.c * _as_batch(other))
+        if other.dim != self.dim or other.c.shape[1] != self.c.shape[1]:
+            raise ValueError(f"{self} and {other} do not combine")
+        order = min(self.order, other.order)
+        n, batch = min(len(self.c), len(other.c)), self.c.shape[1]
+        finite = self._finite_to(n) and other._finite_to(n)
+        if finite and (self._zero or other._zero or self.is_zero() or other.is_zero()):
+            return Jet(self.dim, order, np.zeros((n, batch)), zero=True)
+        if finite:
             pa, pb = self.pattern()[:n], other.pattern()[:n]
         else:  # every pair, so that NaN and inf reach the targets they reach densely
             pa = pb = np.ones(n, bool)
-        (first, *later), targets, pattern = _table(x.dim, x.order).plan(pa, pb)
+        (first, *later), targets, pattern = _table(self.dim, order).plan(pa, pb)
+        a, b = self.c[:n], other.c[:n]
         # Round 0 starts each target's sum at +0; round k adds its k-th pair.
         # Forming a round only when it is added keeps every temporary at one
         # round's size.  One (pairs, batch) array of all pairs, up to 8 MB at
@@ -428,7 +403,7 @@ class Jet:
             acc[:len(left)] += a.take(left, 0) * b.take(right, 0)
         c = np.zeros((n, batch))
         c[targets] = acc
-        return Jet(x.dim, x.order, c, pattern=pattern)
+        return Jet(self.dim, order, c, pattern=pattern)
 
     __rmul__ = __mul__
 

@@ -16,12 +16,12 @@ the mix of seed + k * gamma (mod 2^64), so ``next_u64s(n)`` forms the n
 states of a block at once with numpy uint64 arithmetic, which wraps mod 2^64
 like the masked Python ints of the recurrence, and the block equals n
 scalar steps bit for bit.  Every operand is a numpy uint64: numpy 1.x
-promotes a uint64 combined with a Python int to float64.  The scalar draws
-are one-element blocks, so there is one generator.  Uniforms and
-Box-Muller directions are formed elementwise, with the IEEE operations of
-one draw at a time; each direction is normalised by its own
-``np.linalg.norm`` call, because a batched row norm may sum in another
-order and round differently.
+promotes a uint64 combined with a Python int to float64.  There are no
+scalar draws (``unit_vector`` is a block of one), so there is one
+generator.  Uniforms and Box-Muller directions are formed elementwise, with
+the IEEE operations of one draw at a time; each direction is normalised by
+its own ``np.linalg.norm`` call, because a batched row norm may sum in
+another order and round differently.
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ class SplitMix64:
     def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         u = (self.next_u64s(n) >> _S11).astype(float) * 2.0**-53
         return lo + u * (hi - lo)
-
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        return float(self.uniforms(1, lo, hi)[0])
 
     def unit_vectors(self, n: int, dim: int) -> np.ndarray:
         """n directions on the unit sphere, shape (n, dim).

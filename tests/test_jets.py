@@ -81,6 +81,15 @@ def jet_from_rows(dim, order, coeffs):
     return Jet(dim, order, np.ascontiguousarray(coeffs.T))
 
 
+def repeat_to(rows, batch):
+    """(n, ncoef) rows, n 1 or batch, as (batch, ncoef): a single row repeated.
+
+    Jets of one computation share one batch, so a factor that is the same at
+    every sample is given as its row repeated.
+    """
+    return np.repeat(rows, batch // len(rows), axis=0)
+
+
 @st.composite
 def product_cases(draw):
     dim = draw(st.integers(1, 6))
@@ -96,12 +105,12 @@ def product_cases(draw):
 @settings(max_examples=120, deadline=None)
 @given(product_cases())
 def test_product_matches_multi_index_convolution(case):
-    """Any dim, mixed orders, batch-1 broadcasting on either side, and either
-    factor, or both, zero up to the product's order (so all zero when it is
-    the lower-order factor or the orders are equal)."""
+    """Any dim, mixed orders, a single row repeated across the batch on either
+    side, and either factor, or both, zero up to the product's order (so all
+    zero when it is the lower-order factor or the orders are equal)."""
     dim, orders, batches, zeros, seed = case
     rng = np.random.default_rng(seed)
-    coeffs = [rng.normal(size=(n, len(_table(dim, k).exps)))
+    coeffs = [repeat_to(rng.normal(size=(n, len(_table(dim, k).exps))), max(batches))
               for n, k in zip(batches, orders)]
     for c, zero in zip(coeffs, zeros):
         if zero:
@@ -138,7 +147,7 @@ def test_zero_factor_propagates_non_finite_and_returns_a_fresh_array():
 
 
 def dense_sum(dim, order_a, a, order_b, b):
-    """Truncated sum of two (batch, ncoef) arrays, broadcasting batch 1."""
+    """Truncated sum of two (batch, ncoef) arrays."""
     n = len(_table(dim, min(order_a, order_b)).exps)
     return a[:, :n] + b[:, :n]
 
@@ -188,7 +197,8 @@ def test_chains_of_operations_match_dense_oracles(case):
     dim, orders, batches, zeros, shares, bad, seed = case
     rng = np.random.default_rng(seed)
     low = len(_table(dim, min(orders)).exps)
-    rows = [rng.normal(size=(n, len(_table(dim, k).exps))) for n, k in zip(batches, orders)]
+    rows = [repeat_to(rng.normal(size=(n, len(_table(dim, k).exps))), max(batches))
+            for n, k in zip(batches, orders)]
     for c, zero, share in zip(rows, zeros, shares):
         if zero:
             c[:, :low] = 0.0
@@ -317,7 +327,7 @@ def test_primitives_of_a_jet_with_few_nonzero_rows_see_every_horner_write():
 def test_truncate_negate_and_partial_keep_zero_known():
     dim, order = 3, 4
     x = Jet.variables([[0.2, 0.4, 0.6]] * 3, order)[0]
-    zero = Jet.constant(0.0, dim, order) * x  # short-circuit: known zero
+    zero = Jet.constant(np.zeros(3), dim, order) * x  # short-circuit: known zero
     assert zero._zero and zero._finite
     assert -zero is zero
     for jet, k in ((zero.truncate(2), 2), (zero.partial(1), order - 1),
@@ -351,22 +361,37 @@ def test_sum_with_a_zero_operand_equals_the_dense_sum():
     rng = np.random.default_rng(9)
     for (ox, bx), (oz, bz) in (((3, 3), (3, 3)), ((4, 3), (2, 3)), ((2, 1), (3, 1)),
                                ((3, 1), (3, 4)), ((2, 1), (4, 4)), ((3, 4), (2, 1))):
-        a = rng.normal(size=(bx, len(_table(dim, ox).exps)))
-        zero_rows = np.zeros((bz, len(_table(dim, oz).exps)))
+        a = repeat_to(rng.normal(size=(bx, len(_table(dim, ox).exps))), max(bx, bz))
+        zero_rows = np.zeros((max(bx, bz), len(_table(dim, oz).exps)))
         x, zero = jet_from_rows(dim, ox, a), jet_from_rows(dim, oz, zero_rows)
         want = dense_sum(dim, ox, a, oz, zero_rows)
         for total in (x + zero, zero + x, x - zero, zero - (-x)):
             assert total.order == min(ox, oz)
             assert np.array_equal(total.coeffs, want)
             assert total.c.flags.c_contiguous
-    # batches that do not broadcast are refused, whether or not an operand is zero
+
+
+def test_jets_of_different_batches_do_not_combine():
+    """One batch per computation: a sum, difference or product of two jets
+    whose batches differ raises, batch 1 included, whether or not an operand
+    is zero and whether or not that is known; a scalar of length 1 still
+    combines with every sample."""
+    dim = 2
+    rng = np.random.default_rng(10)
+    for bx, by in ((3, 2), (1, 3), (3, 1)):
+        x = jet_from_rows(dim, 2, rng.normal(size=(bx, 6)))
+        for rows in (np.zeros((by, 6)), np.zeros((by, 10)), rng.normal(size=(by, 10))):
+            for known in (False, True):
+                y = jet_from_rows(dim, 3, rows)
+                if known:
+                    x.is_zero(), x.is_finite(), y.is_zero(), y.is_finite()
+                for pair in ((x, y), (y, x)):
+                    for op in (operator.add, operator.sub, operator.mul):
+                        with pytest.raises(ValueError):
+                            op(*pair)
     x = jet_from_rows(dim, 2, rng.normal(size=(3, 6)))
-    for other in (np.zeros((2, 6)), rng.normal(size=(2, 6))):
-        y = jet_from_rows(dim, 2, other)
-        for pair in ((x, y), (y, x)):
-            for op in (operator.add, operator.mul):
-                with pytest.raises(ValueError):
-                    op(*pair)
+    for op in (operator.add, operator.sub, operator.mul):
+        assert op(x, np.array([2.0])).batch == op(np.array([2.0]), x).batch == 3
 
 
 def test_product_matches_convolution_at_every_dim_and_order():
@@ -375,8 +400,9 @@ def test_product_matches_convolution_at_every_dim_and_order():
         for order in range(7):
             n = len(_table(dim, order).exps)
             a, b = rng.normal(size=(2, 2, n))
-            prod = jet_from_rows(dim, order, a) * jet_from_rows(dim, order, b[:1])
-            want = convolution(dim, order, a, order, b[:1])
+            b = repeat_to(b[:1], 2)
+            prod = jet_from_rows(dim, order, a) * jet_from_rows(dim, order, b)
+            want = convolution(dim, order, a, order, b)
             assert prod.coeffs.shape == (2, n)
             np.testing.assert_array_equal(prod.coeffs, want)
 
@@ -384,8 +410,8 @@ def test_product_matches_convolution_at_every_dim_and_order():
 def test_products_equal_the_dense_oracle_bit_for_bit():
     """Compared as int64 bits, so the sign of zero counts, which
     ``assert_array_equal`` does not see: a target whose every formed pair is
-    -0 sums to +0, a batch-1 factor broadcasts against batch 200, and a
-    non-finite factor takes the plan of all rows."""
+    -0 sums to +0, a factor of one row repeated 200 times meets one of 200
+    rows, and a non-finite factor takes the plan of all rows."""
     def assert_bits(prod, want):
         got = np.ascontiguousarray(prod.coeffs)
         assert got.shape == want.shape
@@ -402,10 +428,11 @@ def test_products_equal_the_dense_oracle_bit_for_bit():
         assert prod.pattern().all()
         assert not np.signbit(prod.coeffs[0]).any()
         assert_bits(prod, convolution(dim, order, ca, order, cb))
-    # batch 1 against batch 200, each with some rows exactly zero, some -0
+    # one repeated row against 200 rows, each with some rows exactly zero, some -0
     a = rng.normal(size=(1, n))
     b = rng.normal(size=(200, n))
     a[:, rng.random(n) < 0.5] = -0.0
+    a = repeat_to(a, 200)
     b[:, rng.random(n) < 0.3] = 0.0
     b[:, 0] = -b[:, 0]
     for ca, cb in ((a, b), (b, a)):
@@ -465,16 +492,20 @@ def test_partial_lowers_order_and_errors_at_zero():
 def test_batched_broadcasting():
     pts = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
     x, y = Jet.variables(pts, 2)
-    c = Jet.constant(2.0, 2, 2)       # batch 1 broadcasts against batch 3
+    c = Jet.constant(np.full(3, 2.0), 2, 2)
     out = (c * x + np.array([1.0, 2.0, 3.0])) * y
     assert out.batch == 3
     want = (2 * pts[:, 0] + [1, 2, 3]) * pts[:, 1]
     assert np.allclose(out.value, want)
-    # a batch-1 jet plus or minus an array broadcasts as a product does
-    for jet in (c + np.array([1.0, 2.0, 3.0]), np.array([5.0, 6.0, 7.0]) - c,
-                c * np.array([1.5, 2.0, 2.5])):
+    # a scalar of the batch's length, or of length 1, combines sample by sample
+    for jet, value in ((c + np.array([1.0, 2.0, 3.0]), [3.0, 4.0, 5.0]),
+                       (np.array([5.0, 6.0, 7.0]) - c, [3.0, 4.0, 5.0]),
+                       (c * np.array([1.5, 2.0, 2.5]), [3.0, 4.0, 5.0]),
+                       (c + 1.0, [3.0] * 3), (np.array([5.0]) - c, [3.0] * 3),
+                       (c - np.array([0.5]), [1.5] * 3), (c * np.array([1.5]), [3.0] * 3),
+                       (1.5 * c, [3.0] * 3)):
         assert jet.batch == 3 and jet.coeffs.shape == (3, 6)
-        assert np.allclose(jet.value, [3.0, 4.0, 5.0])
+        assert np.allclose(jet.value, value)
         assert not np.any(jet.coeffs[:, 1:])
 
 
@@ -536,9 +567,10 @@ def test_ring_fast_paths_equal_the_general_composition_bit_for_bit(case):
     or handed-on facts against the same operation on operands whose facts
     are scanned afresh: the same bits, signed zeros included, and results
     whose facts cover the general path's.  Covers a zero operand on either
-    side, NaN and inf, mixed orders and batch-1 broadcasting.  (Negation is
-    left out: a known-zero jet is its own negation, so the sign of its zero
-    coefficients depends on whether the fact was known.)"""
+    side, NaN and inf, mixed orders and a single row repeated across the
+    batch.  (Negation is left out: a known-zero jet is its own negation, so
+    the sign of its zero coefficients depends on whether the fact was
+    known.)"""
     dim, orders, batches, zeros, facts, bad, seed = case
     rng = np.random.default_rng(seed)
     low = len(_table(dim, min(orders)).exps)
@@ -549,7 +581,7 @@ def test_ring_fast_paths_equal_the_general_composition_bit_for_bit(case):
         c[:, rng.random(c.shape[1]) < 0.2] = -0.0
         if zero:
             c[:, :low] = rng.choice([0.0, -0.0], size=(n, low))
-        rows.append(c)
+        rows.append(repeat_to(c, max(batches)))
     if bad is not None:
         which, where, value = bad
         rows[which][-1, int(where * rows[which].shape[1])] = value

@@ -113,7 +113,7 @@ def test_s2_family_random_combination(sphere_pair, cone_samples, s3, rng):
     """
     pair, _, _ = sphere_pair
     cpts, pts = cone_samples
-    raw = np.array([rng.uniform(-1, 1) for _ in range(3)])
+    raw = rng.uniforms(3, -1, 1)
     a, b, c = raw / np.linalg.norm(raw)
     xi = catalog.reeb_combination(s3.structures, (a, b, c))
     st = CT.ContactMetricStructure(s3.chart, xi, "combo")

