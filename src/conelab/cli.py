@@ -13,8 +13,9 @@ suite that does not read it, weitzenboeck radii that are not two distinct
 values, no manifold from either the flag or the config file, a config file
 that is not a JSON object, has a field it does not know or has a field of
 the wrong JSON type, and a --report path that cannot be written).  The
-reason for each `error` verdict goes to stderr.  A JSON config file may
-supply the same fields as the flags; flags win.
+reason for each `error` verdict goes to stderr, and so do the exception class
+and message of an `integrate` run that raises (exit 1).  A JSON config file
+may supply the same fields as the flags; flags win.
 """
 
 from __future__ import annotations
@@ -145,9 +146,15 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "integrate":
-            value = integrate_level_set(args.manifold, args.radius,
-                                        args.integrand,
-                                        _parse_grid(args.grid))
+            grid = _parse_grid(args.grid)
+            try:
+                value = integrate_level_set(args.manifold, args.radius,
+                                            args.integrand, grid)
+            except SuiteUsageError:
+                raise
+            except Exception as exc:
+                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+                return 1
             print(f"{value!r}")
             return 0
 

@@ -376,8 +376,9 @@ class Jet:
         return Jet(self.dim, self.order, -self.c, self._zero, self._finite, self._pattern)
 
     def __mul__(self, other):
-        if not isinstance(other, Jet):
-            return Jet(self.dim, self.order, self.c * _as_batch(other))
+        if not isinstance(other, Jet):  # into the jet's shape: no batch broadcast
+            return Jet(self.dim, self.order,
+                       np.multiply(self.c, _as_batch(other), out=np.empty_like(self.c)))
         if other.dim != self.dim or other.c.shape[1] != self.c.shape[1]:
             raise ValueError(f"{self} and {other} do not combine")
         order = min(self.order, other.order)

@@ -373,7 +373,10 @@ def _sasaki(entry, config):
         par = cache(lambda sympl=sympl: contact.parallel_omega_residuals(sympl, cpts))
 
         def agreement(sas=sas, par=par):
-            agree = (np.max(sas()) < 1e-6) == (np.max(par()) < 1e-6)
+            worst = np.array([np.max(sas()), np.max(par())])
+            if not np.isfinite(worst).all():  # a non-finite side decides nothing
+                return [np.array([np.nan])], None
+            agree = (worst[0] < 1e-6) == (worst[1] < 1e-6)
             return [np.array([0.0 if agree else 1.0])], None
 
         rows += [
@@ -473,7 +476,7 @@ def _hypersasaki(entry, config):
     rows = [
         Row([("pair-anticommutator", "Q = lambda Id", 1e-8)], anticommutator_row),
         Row([("pair-cauchy-schwarz", "|lambda| <= 2", 1e-9)],
-            lambda: ([np.array([max(0.0, abs(lam()) - 2.0)])], None)),
+            lambda: ([np.maximum(0.0, [abs(lam()) - 2.0])], None)),
         Row([("pair-commutator-square", "A^2 = (lambda^2 - 4) Id", 1e-8)],
             lambda: ([pairs.commutator_square_residuals(pair, cpts, lam())], cpts)),
         Row([("third-structure", "I = A / sqrt(4 - lambda^2)", 1e-8)],

@@ -274,17 +274,20 @@ def radial_profiles(d1: WeitzenboeckPointData, d2: WeitzenboeckPointData,
     residuals: "f-drift", the relative r-dependence of f; "alpha-drift", the
     r-dependence of alpha or its dr component, whichever is larger (both must
     vanish); and "f-positivity", max(0, -f) wherever nab Omega != 0, since f
-    is strictly positive on a genuinely non-Kaehler structure.
+    is strictly positive on a genuinely non-Kaehler structure (NaN where f or
+    |nab Omega|^2 is not finite).
     """
     f1 = d1.s_star * r1**2
     f2 = d2.s_star * r2**2
     a1 = d1.pairing_form * r1**2
     a2 = d2.pairing_form * r2**2
     active = d1.nab_omega_sq > 1e-8
+    known = np.isfinite(f1) & np.isfinite(d1.nab_omega_sq)
     return {
         "f": f1,
         "alpha": a1,
         "f-drift": np.abs(f1 - f2) / np.maximum(np.maximum(np.abs(f1), np.abs(f2)), 1.0),
         "alpha-drift": np.maximum(np.max(np.abs(a1 - a2), axis=1), np.abs(a1[:, -1])),
-        "f-positivity": np.where(active, np.maximum(0.0, -f1), 0.0),
+        "f-positivity": np.where(known, np.where(active, np.maximum(0.0, -f1), 0.0),
+                                 np.nan),
     }

@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conelab import catalog, cone, jets, weitzenboeck
+from conelab import catalog, cone, contact, jets, pairs, weitzenboeck
 from conelab.cli import main as cli_main
 from conelab.report import SuiteConfig, all_pass, make_report, report_json
 from conelab.suites import (
     _MAX_JET_ORDER,
+    INTEGRANDS,
     SUITES,
     SuiteUsageError,
     integrate_level_set,
@@ -136,9 +137,12 @@ def test_integrate_level_set_values():
 
 def test_cli_list_and_exit_codes(tmp_path, capsys):
     assert cli_main(["list"]) == 0
-    out = capsys.readouterr().out
-    for suite in SUITES:
-        assert suite in out
+    # the layout tools/compare_reports.py reads: a "title:" line per section,
+    # then its names, each indented by two spaces
+    assert capsys.readouterr().out.splitlines() == [
+        line for title, names in (("suites", SUITES), ("manifolds", catalog.keys()),
+                                  ("integrands", INTEGRANDS))
+        for line in (f"{title}:", *(f"  {name}" for name in names))]
 
     # passing suite -> 0, with a report file
     path = tmp_path / "report.json"
@@ -273,6 +277,20 @@ def test_cli_integrate(capsys):
     assert code == 0
     out = capsys.readouterr().out.strip()
     assert float(out) == pytest.approx(np.pi**3, rel=1e-9)
+
+
+def test_cli_integrate_engine_error_is_one_stderr_line(monkeypatch, capsys):
+    """An exception from the engine, such as numpy's allocation failure at
+    a huge grid, ends `integrate` with exit 1 and one stderr line."""
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 74.5 TiB")
+
+    monkeypatch.setattr("conelab.cli.integrate_level_set", out_of_memory)
+    assert cli_main(["integrate", "one", "--manifold", "t3-blair",
+                     "--radius", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "MemoryError: Unable to allocate 74.5 TiB\n"
 
 
 def test_cli_config_file_flags_win(tmp_path):
@@ -517,6 +535,44 @@ def test_kernel_exception_errors_only_its_row(monkeypatch, capsys):
     assert cli_main(["verify", "cone-identities", "--manifold", "t3-blair",
                      "--samples", "5"]) == 1
     assert "RuntimeError" in capsys.readouterr().err
+
+
+def _with_nan(kernel, pick=lambda out: out):
+    """kernel, with NaN at the first sample of the array ``pick`` takes
+    from its result."""
+    def broken(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        pick(out)[0] = np.nan
+        return out
+    return broken
+
+
+def _verdict(manifold, suite, identity, **kw):
+    reports = run_suite(_config(manifold, suite, samples=3, **kw))
+    return {r.identity: r.verdict for r in reports}[identity]
+
+
+@pytest.mark.parametrize("manifold, kernel", [("t3-blair", "parallel_omega_residuals"),
+                                              ("s5-round", "sasaki_residuals")])
+def test_sasaki_equivalence_with_a_non_finite_side_is_an_error(monkeypatch, manifold,
+                                                               kernel):
+    monkeypatch.setattr(contact, kernel, _with_nan(getattr(contact, kernel)))
+    assert _verdict(manifold, "sasaki", "sasaki-parallel-equivalence") == "error"
+
+
+def test_cauchy_schwarz_with_a_non_finite_lambda_is_an_error(monkeypatch):
+    real = pairs.anticommutator_lambda
+    monkeypatch.setattr(pairs, "anticommutator_lambda",
+                        lambda *args: (np.nan, *real(*args)[1:]))
+    assert _verdict("s3-round", "hypersasaki", "pair-cauchy-schwarz") == "error"
+
+
+def test_radial_profile_positivity_with_a_non_finite_norm_is_an_error(monkeypatch):
+    monkeypatch.setattr(weitzenboeck, "weitzenboeck_data",
+                        _with_nan(weitzenboeck.weitzenboeck_data,
+                                  lambda data: data.nab_omega_sq))
+    assert _verdict("t3-blair", "weitzenboeck", "radial-profile-positive",
+                    jet_order=4) == "error"
 
 
 # -- the identity set of every valid (suite, manifold) pair ------------------------

@@ -375,7 +375,7 @@ def test_jets_of_different_batches_do_not_combine():
     """One batch per computation: a sum, difference or product of two jets
     whose batches differ raises, batch 1 included, whether or not an operand
     is zero and whether or not that is known; a scalar of length 1 still
-    combines with every sample."""
+    combines with every sample, and a plain array of another length raises."""
     dim = 2
     rng = np.random.default_rng(10)
     for bx, by in ((3, 2), (1, 3), (3, 1)):
@@ -392,6 +392,12 @@ def test_jets_of_different_batches_do_not_combine():
     x = jet_from_rows(dim, 2, rng.normal(size=(3, 6)))
     for op in (operator.add, operator.sub, operator.mul):
         assert op(x, np.array([2.0])).batch == op(np.array([2.0]), x).batch == 3
+    # nor does a plain array of another length, in a product or a quotient
+    one = Jet.constant(2.0, dim, 2)
+    for op in (operator.add, operator.mul, operator.truediv):
+        for pair in ((one, np.array([1.0, 2.0, 3.0])), (np.array([1.0, 2.0, 3.0]), one)):
+            with pytest.raises(ValueError):
+                op(*pair)
 
 
 def test_product_matches_convolution_at_every_dim_and_order():

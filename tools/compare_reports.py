@@ -2,34 +2,34 @@
 
     python3 tools/compare_reports.py PARENT_SRC CHANGE_SRC OUTDIR
 
-Runs ``conelab verify --report`` with each ``src`` directory on
-``PYTHONPATH`` for every valid (suite, manifold) pair at default settings.
-Each tree declares its own pairs: a suite of ``suites.SUITES`` on a manifold
-of its catalog is valid when ``run_suite`` takes it at its smallest sizes
-without a usage error (``hypersasaki``, for one, needs two catalogued
-Sasakian structures).  The two sides of a pair run at the same time, one
-process each; ``weitzenboeck`` on ``s5-round``, the slowest pair, needs about
-1.2 GB per side.  Reports go to
-``OUTDIR/parent`` and ``OUTDIR/change``, and a summary, with each side's
-wall seconds per pair (process start to exit) and peak RSS in MB (the
-child's ``ru_maxrss`` from ``os.wait4``), to ``OUTDIR/summary.json``.
+Reads each tree through its ``conelab`` command line alone, run as
+``python -m conelab.cli`` with that ``src`` directory on ``PYTHONPATH``.
+``conelab list`` gives the tree's suites, manifolds and integrands.  Every
+suite x manifold of the two trees' lists runs as ``conelab verify SUITE
+--manifold MANIFOLD --report FILE`` at default settings, the two sides at the
+same time, one process each; ``weitzenboeck`` on ``s5-round``, the slowest
+pair, needs about 1.2 GB per side.  A combination that both sides refuse with
+exit 2 (a usage error: ``hypersasaki``, for one, needs two catalogued
+Sasakian structures) is skipped.  Reports go to ``OUTDIR/parent`` and
+``OUTDIR/change``.
 
-For each pair it prints both sides' wall seconds and peak RSS, whether the
+For each pair it prints both sides' wall seconds (process start to exit) and
+peak RSS in MB (the child's ``ru_maxrss`` from ``os.wait4``), whether the
 report files are byte-equal, whether the identity lists, verdicts and exit
 codes are equal, and each residual that moved, with its shift as a share of
 the benchmark gate's allowance ``max(RTOL * |ref|, ATOL_SHARE * tolerance)``
 (``perfbench/workloads.py``); residuals not listed are equal.  Peak RSS gates
 nothing.
 
-It then runs ``conelab integrate`` for each integrand of the tree's
-``suites.INTEGRANDS`` on ``t3-blair`` and ``s3-round`` at ``--radius 1.7``
-with both trees and prints whether the two sides' stdout and exit codes are
-equal.
+It then runs ``conelab integrate`` for each integrand of the two lists on
+``t3-blair`` and ``s3-round`` at ``--radius 1.7`` with both trees and prints
+whether the two sides' stdout and exit codes are equal.  The totals and a
+table of every pair go to ``OUTDIR/summary.md``.
 
-Exits 1 when the two trees declare different pairs or integrands (only the
-common ones are compared), when any pair differs in identities, verdicts or
-exit code, moves a residual beyond that allowance, or when an ``integrate``
-run differs in stdout or exit code.
+Exits 1 when no pair ran, when a pair exits with anything but 0 or 1 on a
+side (so a pair or a suite that only one side runs fails), differs in
+identities, verdicts or exit code, or moves a residual beyond that allowance,
+or when an ``integrate`` run differs in stdout or exit code.
 """
 
 from __future__ import annotations
@@ -48,35 +48,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import ATOL_SHARE, RTOL  # noqa: E402  (the gate's roundoff rule)
 
 INTEGRATE_MANIFOLDS = ("t3-blair", "s3-round")
-
-# run under a tree's src: its valid (suite, manifold) pairs and its integrands
-DECLARATIONS = """
-import json
-from conelab import catalog, suites
-from conelab.report import SuiteConfig
-
-pairs = []
-for suite, spec in suites.SUITES.items():
-    for manifold in catalog.keys():
-        config = SuiteConfig(manifold=manifold, suite=suite, samples=1,
-                             jet_order=spec.jet_orders and spec.jet_orders[0],
-                             grid=1 if spec.grid else None)
-        try:
-            suites.run_suite(config)
-        except suites.SuiteUsageError:
-            continue
-        pairs.append((suite, manifold))
-print(json.dumps({"pairs": pairs, "integrands": suites.INTEGRANDS}))
-"""
-
-
-def declarations(src):
-    """(valid pairs, integrands) that the tree at ``src`` declares."""
-    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
-    done = subprocess.run([sys.executable, "-c", DECLARATIONS], env=env,
-                          capture_output=True, text=True, check=True)
-    found = json.loads(done.stdout.strip().splitlines()[-1])
-    return [tuple(pair) for pair in found["pairs"]], found["integrands"]
+USAGE = 2  # conelab's exit code for an invocation it refuses
 
 
 def run_conelab(src, args):
@@ -100,6 +72,22 @@ def run_both(sides, args_for):
     with ThreadPoolExecutor(len(sides)) as pool:
         return dict(zip(sides, pool.map(
             lambda side: run_conelab(sides[side], args_for(side)), sides)))
+
+
+def listing(src):
+    """{section: names} of ``conelab list`` under ``src``: a line ``title:``
+    opens a section, and each name in it is indented by two spaces."""
+    code, out, err, *_ = run_conelab(src, ["list"])
+    if code:
+        sys.exit(f"conelab list under {src} exited {code}: {err.strip()}")
+    found = {}
+    for line in out.splitlines():
+        if line.startswith("  "):
+            found[title].append(line[2:])
+        else:
+            title = line.removesuffix(":")
+            found[title] = []
+    return found
 
 
 def compare(ref_path, new_path):
@@ -132,84 +120,72 @@ def main(argv):
     sides = {"parent": parent_src, "change": change_src}
     for side in sides:
         (Path(outdir) / side).mkdir(parents=True, exist_ok=True)
-    (pairs, integrands), (change_pairs, change_integrands) = (
-        declarations(src) for src in sides.values())
-    declarations_equal = True
-    for what, ref, new in (("pairs", pairs, change_pairs),
-                           ("integrands", integrands, change_integrands)):
-        if set(ref) != set(new):
-            declarations_equal = False
-            print(f"the trees declare different {what}: parent only "
-                  f"{[x for x in ref if x not in new]}, change only "
-                  f"{[x for x in new if x not in ref]}", file=sys.stderr)
-    pairs = [p for p in pairs if p in change_pairs]
-    integrands = [n for n in integrands if n in change_integrands]
-    rows, failed = [], not declarations_equal
-    for suite, manifold in pairs:
-        paths = {side: Path(outdir) / side / f"{suite}.{manifold}.json" for side in sides}
-        runs = run_both(sides, lambda side: [
-            "verify", suite, "--manifold", manifold, "--report", str(paths[side])])
-        codes = {side: run[0] for side, run in runs.items()}
-        seconds = {side: round(run[3], 2) for side, run in runs.items()}
-        rss = {side: round(run[4], 1) for side, run in runs.items()}
-        for side, (code, _, err, *_) in runs.items():
-            if code not in (0, 1):
-                print(f"{side} {suite}/{manifold} exited {code}: {err.strip()}",
-                      file=sys.stderr)
-        if any(code not in (0, 1) for code in codes.values()):
-            failed = True
-            rows.append({"suite": suite, "manifold": manifold, "exit": codes,
-                         "wall_s": seconds, "peak_rss_mb": rss})
-            continue
-        byte_equal = paths["parent"].read_bytes() == paths["change"].read_bytes()
-        same, moved = compare(paths["parent"], paths["change"])
-        ok = same and codes["parent"] == codes["change"] and all(m[4] <= 1.0 for m in moved)
-        failed |= not ok
-        rows.append({"suite": suite, "manifold": manifold, "exit": codes,
-                     "wall_s": seconds, "peak_rss_mb": rss, "byte_equal": byte_equal,
-                     "identities_and_verdicts_equal": same, "moved": moved, "ok": ok})
-        print(f"{suite:16s} {manifold:16s} "
-              f"{seconds['parent']:7.2f}/{seconds['change']:<7.2f} s "
-              f"{rss['parent']:6.1f}/{rss['change']:<6.1f} MB "
-              f"bytes {'equal' if byte_equal else 'DIFFER':6s} "
-              f"identities/verdicts {'equal' if same else 'DIFFER':6s} "
-              f"exit {codes['parent']}/{codes['change']} "
-              f"residuals moved {len(moved)}{'' if ok else '  VIOLATION'}", flush=True)
-        for identity, key, want, got, share in moved:
-            print(f"    {identity} {key} {want!r} -> {got!r}: {share:.3g} of allowance")
-    integrate_rows = []
+    lists = [listing(src) for src in sides.values()]
+    suites, manifolds, integrands = (
+        list(dict.fromkeys(name for found in lists for name in found.get(section, ())))
+        for section in ("suites", "manifolds", "integrands"))
+    rows, skipped, violations, equal = [], [], [], 0
+    for suite in suites:
+        for manifold in manifolds:
+            paths = {side: Path(outdir) / side / f"{suite}.{manifold}.json"
+                     for side in sides}
+            runs = run_both(sides, lambda side: [
+                "verify", suite, "--manifold", manifold, "--report", str(paths[side])])
+            codes = {side: run[0] for side, run in runs.items()}
+            if set(codes.values()) == {USAGE}:
+                skipped.append(f"{suite}/{manifold}")
+                continue
+            for side, (code, _, err, *_) in runs.items():
+                if code not in (0, 1):
+                    print(f"{side} {suite}/{manifold} exited {code}: {err.strip()}",
+                          file=sys.stderr)
+            seconds = {side: round(run[3], 2) for side, run in runs.items()}
+            rss = {side: round(run[4], 1) for side, run in runs.items()}
+            ran = all(code in (0, 1) for code in codes.values())
+            byte_equal = ran and paths["parent"].read_bytes() == paths["change"].read_bytes()
+            same, moved = compare(paths["parent"], paths["change"]) if ran else (False, [])
+            ok = same and codes["parent"] == codes["change"] and all(m[4] <= 1.0 for m in moved)
+            equal += byte_equal
+            violations += [] if ok else [f"{suite}/{manifold}"]
+            rows.append(f"| {suite} | {manifold} | {codes['parent']}/{codes['change']} "
+                        f"| {seconds['parent']} | {seconds['change']} | {rss['parent']} "
+                        f"| {rss['change']} | {'equal' if byte_equal else 'DIFFER'} "
+                        f"| {'yes' if ok else 'NO'} |")
+            print(f"{suite:16s} {manifold:16s} "
+                  f"{seconds['parent']:7.2f}/{seconds['change']:<7.2f} s "
+                  f"{rss['parent']:6.1f}/{rss['change']:<6.1f} MB "
+                  f"bytes {'equal' if byte_equal else 'DIFFER':6s} "
+                  f"identities/verdicts {'equal' if same else 'DIFFER':6s} "
+                  f"exit {codes['parent']}/{codes['change']} "
+                  f"residuals moved {len(moved)}{'' if ok else '  VIOLATION'}", flush=True)
+            for identity, key, want, got, share in moved:
+                print(f"    {identity} {key} {want!r} -> {got!r}: {share:.3g} of allowance")
+    integrate_equal = integrate_runs = 0
     for manifold in INTEGRATE_MANIFOLDS:
         for name in integrands:
             runs = run_both(sides, lambda side: [
                 "integrate", name, "--manifold", manifold, "--radius", "1.7"])
             codes = {side: run[0] for side, run in runs.items()}
-            stdout = {side: run[1] for side, run in runs.items()}
-            same_out = stdout["parent"] == stdout["change"]
+            same_out = runs["parent"][1] == runs["change"][1]
             ok = same_out and codes["parent"] == codes["change"]
-            failed |= not ok
-            integrate_rows.append({"integrand": name, "manifold": manifold,
-                                   "exit": codes, "stdout": stdout, "ok": ok})
+            integrate_equal += ok
+            integrate_runs += 1
             print(f"integrate {name:18s} {manifold:16s} "
                   f"stdout {'equal' if same_out else 'DIFFER':6s} "
                   f"exit {codes['parent']}/{codes['change']}"
                   f"{'' if ok else '  VIOLATION'}", flush=True)
-    summary = {
-        "declarations_equal": declarations_equal,
-        "pairs": len(rows),
-        "byte_equal": sum(bool(r.get("byte_equal")) for r in rows),
-        "not_byte_equal": [f"{r['suite']}/{r['manifold']}" for r in rows
-                           if not r.get("byte_equal")],
-        "violations": [f"{r['suite']}/{r['manifold']}" for r in rows if not r.get("ok")],
-        "rule": f"|shift| <= max({RTOL:g} * |ref|, {ATOL_SHARE:g} * tolerance)",
-        "rows": rows,
-        "integrate_equal": sum(r["ok"] for r in integrate_rows),
-        "integrate_rows": integrate_rows,
-    }
-    (Path(outdir) / "summary.json").write_text(json.dumps(summary, indent=1) + "\n")
-    print(f"{summary['byte_equal']}/{summary['pairs']} byte-equal; "
-          f"{len(summary['violations'])} violations; "
-          f"{summary['integrate_equal']}/{len(integrate_rows)} integrate runs equal")
-    return 1 if failed else 0
+    if not rows:
+        print("no pair ran on either side", file=sys.stderr)
+    totals = (f"{equal}/{len(rows)} byte-equal; {len(violations)} violations; "
+              f"{integrate_equal}/{integrate_runs} integrate runs equal; "
+              f"skipped (exit 2 on both sides): {', '.join(skipped) or 'none'}")
+    table = [totals, "",
+             "| suite | manifold | exit | wall s parent | wall s change "
+             "| peak RSS MB parent | peak RSS MB change | bytes | ok |",
+             "|---|---|---|---:|---:|---:|---:|---|---|", *rows]
+    (Path(outdir) / "summary.md").write_text("\n".join(table) + "\n")
+    print(totals)
+    return 1 if violations or integrate_equal < integrate_runs or not rows else 0
 
 
 if __name__ == "__main__":
