@@ -48,14 +48,6 @@ class CatalogEntry:
     def n(self) -> int:
         return (self.chart.dim - 1) // 2
 
-    def structure(self, name: str = None) -> ContactMetricStructure:
-        if name is None:
-            return self.structures[0]
-        for s in self.structures:
-            if s.name == name:
-                return s
-        raise KeyError(f"no structure named {name!r} in {self.key}")
-
 
 def _vec(fn):
     def wrapped(x):

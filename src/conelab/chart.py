@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateMetricError, DomainError
+from .errors import DomainError
 from .jets import Jet
 from .rng import SplitMix64
 
@@ -82,18 +82,6 @@ class ManifoldChart:
             point = points[outside.argmax()]
             raise DomainError(f"point {tuple(point)} outside domain of {self.label}")
 
-    def check_spd(self, points):
-        """Cholesky screen; raises DegenerateMetricError on failure."""
-        g = self.metric_values(points)
-        sym = np.max(np.abs(g - np.swapaxes(g, 1, 2)))
-        if sym > 1e-10:
-            raise DegenerateMetricError(f"metric of {self.label} not symmetric ({sym:.2e})")
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateMetricError(f"metric of {self.label} not positive definite") from exc
-        return g
-
     # -- sampling ---------------------------------------------------------
 
     def sample_points(self, n: int, rng: SplitMix64) -> np.ndarray:
@@ -112,22 +100,6 @@ class ManifoldChart:
         lo = np.array(lo, float)
         u = rng.uniforms(n * self.dim).reshape(n, self.dim)
         return lo + u * (np.array(hi, float) - lo)
-
-    def validate(self):
-        """SPD at 25 random probes plus a periodicity spot-check."""
-        pts = self.sample_points(25, SplitMix64(2023))
-        self.check_spd(pts)
-        for i, period in enumerate(self.periodic):
-            if period is None:
-                continue
-            shifted = pts.copy()
-            shifted[:, i] += period
-            drift = np.max(np.abs(self.metric_values(pts) - self.metric_values(shifted)))
-            if drift > 1e-9:
-                raise DegenerateMetricError(
-                    f"metric of {self.label} not {period:g}-periodic in "
-                    f"coordinate {self.coords[i]} (drift {drift:.2e})")
-        return self
 
 
 def jet_point(chart: ManifoldChart, points, order: int) -> list:

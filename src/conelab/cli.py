@@ -13,9 +13,10 @@ suite that does not read it, weitzenboeck radii that are not two distinct
 values, no manifold from either the flag or the config file, a config file
 that is not a JSON object, has a field it does not know or has a field of
 the wrong JSON type, and a --report path that cannot be written).  The
-reason for each `error` verdict goes to stderr, and so do the exception class
-and message of an `integrate` run that raises (exit 1).  A JSON config file
-may supply the same fields as the flags; flags win.
+reason for each `error` verdict goes to stderr, and so do the class and
+message of any other exception a command raises, on one line with no
+traceback (exit 1).  A JSON config file may supply the same fields as the
+flags; flags win.
 """
 
 from __future__ import annotations
@@ -146,15 +147,8 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "integrate":
-            grid = _parse_grid(args.grid)
-            try:
-                value = integrate_level_set(args.manifold, args.radius,
-                                            args.integrand, grid)
-            except SuiteUsageError:
-                raise
-            except Exception as exc:
-                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-                return 1
+            value = integrate_level_set(args.manifold, args.radius,
+                                        args.integrand, _parse_grid(args.grid))
             print(f"{value!r}")
             return 0
 
@@ -175,6 +169,9 @@ def main(argv=None) -> int:
     except SuiteUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

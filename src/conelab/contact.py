@@ -70,34 +70,16 @@ def _endomorphism(geo: PointGeometry, form):
     return np.tensordot(geo.ginv, form, axes=([1], [1]))
 
 
-def _kc_defect(structure: ContactMetricStructure, points):
-    """phi^2 + Id - eta (x) xi as floats, with the geometry it was read at."""
+def kc_residuals(structure: ContactMetricStructure, points):
+    """Max orthonormal-frame residual of phi^2 + Id - eta (x) xi per point."""
     geo = PointGeometry(structure.chart, jet_point(structure.chart, points, 2))
     d = structure.chart.dim
     phi = tvalues(structure.phi(geo))
     eta = tvalues(structure.eta(geo))
     xi = tvalues(structure.xi(geo.x))
     phi2 = np.einsum("bam,bmi->bai", phi, phi)
-    return geo, phi2 + np.eye(d)[None, :, :] - np.einsum("ba,bi->bai", xi, eta)
-
-
-def kc_residuals(structure: ContactMetricStructure, points):
-    """Max orthonormal-frame residual of phi^2 + Id - eta (x) xi per point."""
-    geo, defect = _kc_defect(structure, points)
+    defect = phi2 + np.eye(d)[None, :, :] - np.einsum("ba,bi->bai", xi, eta)
     return frame_norm(geo, defect, "ul")
-
-
-def kc_max_component_residuals(structure, points):
-    """Largest orthonormal-frame entry of the axiom defect.
-
-    For the unnormalised flat-torus fixture this is exactly 3/4 at every
-    point (the defect is 3/4 of the projector onto ker eta).
-    """
-    geo, defect = _kc_defect(structure, points)
-    E = orthonormal_frame_values(geo.g_values)
-    E_dual = np.einsum("bai,bij->baj", E, geo.g_values)
-    on = np.einsum("baj,bji,bci->bac", E_dual, defect, E)
-    return np.max(np.abs(on), axis=(1, 2))
 
 
 def unit_length_residuals(structure, points):

@@ -22,10 +22,9 @@ Conventions, frozen once and pinned by calibration fixtures in the tests:
 * Laplacian   Delta = delta d = -tr_g Hess, so Delta(r^2) < 0 on flat space;
 * tensor norms are full sums over all index tuples in an orthonormal frame,
   no 1/p! weight; inner products likewise.  ``frame_norm`` is the residual
-  measure of most kernels, sqrt|<T, T>| of the defect T; the Killing and
-  component-wise axiom checks (``contact.killing_residuals``,
-  ``contact.kc_max_component_residuals``) report the largest orthonormal-frame
-  component of their defect instead.
+  measure of most kernels, sqrt|<T, T>| of the defect T; the Killing check
+  (``contact.killing_residuals``) reports the largest orthonormal-frame
+  component of its defect instead.
 
 Component layout: contravariant indices first, then covariant.  A covariant
 derivative prepends one covariant index, i.e. (nab T)[m, ...] = nab_m T.
@@ -347,6 +346,8 @@ def orthonormal_frame_values(g_values) -> np.ndarray:
     triangular w.r.t. coordinate order and positively oriented.
     """
     L = np.linalg.cholesky(g_values)
-    E = np.linalg.inv(np.swapaxes(L, 1, 2))  # rows of L^{-T}: E[b][:, a]?
+    # g = L L^T, so E[b] = L^{-1} (the transpose of inv(L^T)) gives E g E^T = Id:
+    # row a of L^{-1} holds the coordinate components of e_a
+    E = np.linalg.inv(np.swapaxes(L, 1, 2))
     return np.swapaxes(E, 1, 2)
 

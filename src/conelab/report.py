@@ -94,7 +94,3 @@ def report_json(config: SuiteConfig, reports: List[CheckReport]) -> str:
         "reports": [r.to_dict() for r in reports],
     }
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def all_pass(reports: List[CheckReport]) -> bool:
-    return all(r.verdict == "pass" for r in reports)

@@ -74,6 +74,7 @@ class SplitMix64:
         norms = np.array([np.linalg.norm(row) for row in v])
         return v / norms[:, None]
 
+    # no caller; named only by perfbench/tracing.py's SPAN_GROUPS
     def unit_vector(self, dim: int) -> np.ndarray:
         """One direction on the unit sphere (a one-element block)."""
         return self.unit_vectors(1, dim)[0]

@@ -95,7 +95,7 @@ def test_criterion_2_lemma_dual_paths():
 def test_criterion_3_blair_counterexample():
     """Flat Einstein contact torus that is not K-contact, end to end."""
     entry = catalog.get("t3-blair")
-    st = entry.structure()
+    st = entry.structures[0]
     _, pts, _, _ = _draw(entry.chart)
     kc = np.max(CT.kc_residuals(st, pts))
     killing_witness = CT.killing_residuals(
@@ -117,7 +117,7 @@ def test_criterion_4_einstein_k_contact_instances():
         entry = catalog.get(key)
         n = SAMPLES if key == "s3-round" else 60
         _, pts, radii, _ = _draw(entry.chart, n=n)
-        st = entry.structure()
+        st = entry.structures[0]
         worst = max(worst, np.max(CT.kc_residuals(st, pts)))
         worst = max(worst, np.max(CT.killing_residuals(st, pts)))
         worst = max(worst, np.max(np.abs(CT.ricci_reeb_deficit(st, pts))))
@@ -131,7 +131,7 @@ def test_criterion_4_einstein_k_contact_instances():
 
 def test_criterion_5_weitzenboeck_blair_cone():
     entry = catalog.get("t3-blair")
-    sympl = CT.ConeSymplecticData(C.build_cone(entry.chart), entry.structure())
+    sympl = CT.ConeSymplecticData(C.build_cone(entry.chart), entry.structures[0])
     rng, pts, radii, _ = _draw(entry.chart)
     data = W.weitzenboeck_data(sympl, pts, radii)
 
@@ -176,12 +176,12 @@ def test_criterion_7_structure_algebra():
     entry = catalog.get("s3-round")
     cn = C.build_cone(entry.chart)
 
-    def sympl(name):
-        st = CT.ContactMetricStructure(entry.chart, entry.structure(name).xi,
-                                       name)
+    def sympl(spec):
+        st = CT.ContactMetricStructure(entry.chart, spec.xi, spec.name)
         return CT.ConeSymplecticData(cn, st)
 
-    pair = P.StructurePair(sympl("i"), sympl("j"))
+    sympl_i, sympl_j, sympl_k = (sympl(spec) for spec in entry.structures)
+    pair = P.StructurePair(sympl_i, sympl_j)
     rng, pts, radii, _ = _draw(entry.chart)
     cpts = np.column_stack([pts, radii])
     lam, qres, var = P.anticommutator_lambda(pair, cpts)
@@ -189,7 +189,7 @@ def test_criterion_7_structure_algebra():
     par = np.max(P.parallel_third_structure_residuals(pair, cpts, lam))
     quat = max(np.max(v) for v in
                P.quaternion_relation_residuals(pair, cpts, lam).values())
-    _, resid_k, unit_k = P.s2_family_coefficients(pair, sympl("k"), cpts, lam)
+    _, resid_k, unit_k = P.s2_family_coefficients(pair, sympl_k, cpts, lam)
 
     raw = rng.uniforms(3, -1, 1)
     a, b, c_ = raw / np.linalg.norm(raw)

@@ -46,8 +46,8 @@ def _outputs(out):
     return [np.asarray(out)]
 
 
-def _structure(entry, name=None):
-    spec = entry.structure(name)
+def _structure(entry, k=0):
+    spec = entry.structures[k]
     return CT.ContactMetricStructure(entry.chart, spec.xi, spec.name)
 
 
@@ -80,9 +80,8 @@ def _contact(key):
     def run(pts, radii):
         cpts = np.column_stack([pts, radii])
         return [kernel(structure, pts) for kernel in (
-            CT.unit_length_residuals, CT.kc_residuals, CT.kc_max_component_residuals,
-            CT.reeb_residuals, CT.killing_residuals, CT.ricci_reeb_deficit,
-            CT.sasaki_residuals)] + [CT.symplectic_residuals(sympl, cpts),
+            CT.unit_length_residuals, CT.kc_residuals, CT.reeb_residuals,
+            CT.killing_residuals, CT.ricci_reeb_deficit, CT.sasaki_residuals)] + [CT.symplectic_residuals(sympl, cpts),
                                      CT.parallel_omega_residuals(sympl, cpts)]
 
     return run
@@ -91,8 +90,8 @@ def _contact(key):
 def _pairs(key):
     entry = catalog.get(key)
     cn = C.build_cone(entry.chart)
-    first, second, third = (CT.ConeSymplecticData(cn, _structure(entry, name))
-                            for name in ("i", "j", "k"))
+    first, second, third = (CT.ConeSymplecticData(cn, _structure(entry, k))
+                            for k in range(3))
     pair = P.StructurePair(first, second)
 
     def run(pts, radii):

@@ -1,42 +1,30 @@
-"""Chart validation, sampling and domain handling."""
+"""Catalog chart metrics, sampling and domain handling."""
 
 import numpy as np
 import pytest
 
-from conelab.chart import SAMPLE_MARGIN, ManifoldChart, jet_point
-from conelab.errors import DegenerateMetricError, DomainError
+from conelab import catalog
+from conelab.chart import SAMPLE_MARGIN, jet_point
+from conelab.errors import DomainError
 from conelab.rng import SplitMix64
 
 
-def test_validate_catalog_charts(blair, unnormalized, s3, s5):
-    for entry in (blair, unnormalized, s3, s5):
-        entry.chart.validate()
-
-
-def test_degenerate_metric_rejected():
-    bad = ManifoldChart(
-        2, ("u", "v"), ((0.0, 1.0), (0.0, 1.0)), (None, None),
-        lambda x: [[x[0] - 0.5, 0.0], [0.0, 1.0]], "bad")
-    with pytest.raises(DegenerateMetricError):
-        bad.validate()
-
-
-def test_asymmetric_metric_rejected():
-    bad = ManifoldChart(
-        2, ("u", "v"), ((0.0, 1.0), (0.0, 1.0)), (None, None),
-        lambda x: [[1.0, x[0] * 0.0 + 0.1], [x[0] * 0.0, 1.0]], "asym")
-    with pytest.raises(DegenerateMetricError):
-        bad.validate()
-
-
-def test_false_periodicity_rejected():
-    from conelab.jets import sin
-
-    bad = ManifoldChart(
-        1, ("u",), ((0.0, 2 * np.pi),), (np.pi,),
-        lambda x: [[2.0 + sin(x[0])]], "notper")
-    with pytest.raises(DegenerateMetricError):
-        bad.validate()
+def test_validate_catalog_charts():
+    """Each catalog metric, at sampled points, is symmetric, positive definite
+    and periodic in each periodic coordinate."""
+    for key in catalog.keys():
+        chart = catalog.get(key).chart
+        pts = chart.sample_points(25, SplitMix64(2023))
+        g = chart.metric_values(pts)
+        assert np.max(np.abs(g - np.swapaxes(g, 1, 2))) < 1e-10, key
+        np.linalg.cholesky(g)
+        for i, period in enumerate(chart.periodic):
+            if period is None:
+                continue
+            shifted = pts.copy()
+            shifted[:, i] += period
+            drift = np.max(np.abs(g - chart.metric_values(shifted)))
+            assert drift < 1e-9, (key, chart.coords[i])
 
 
 def test_sampling_respects_margin_and_period(s3):

@@ -223,7 +223,7 @@ def test_lifted_contact_form_radial_derivative(s3, scone):
     from conelab import contact as CT
     from conelab.geometry import PointGeometry
 
-    st = CT.ContactMetricStructure(s3.chart, s3.structure("i").xi, "i")
+    st = CT.ContactMetricStructure(s3.chart, s3.structures[0].xi, "i")
 
     def eta_fn(x):
         return st.eta(PointGeometry(s3.chart, x))

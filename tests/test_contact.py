@@ -15,7 +15,7 @@ from . import oracles
 
 def test_blair_phi_closed_form(blair):
     """phi matches the hand-derived endomorphism of the normalised torus."""
-    st = CT.ContactMetricStructure(blair.chart, blair.structure().xi, "blair")
+    st = CT.ContactMetricStructure(blair.chart, blair.structures[0].xi, "blair")
     pts, _, _ = sample(blair.chart, 12, seed=5)
     geo = PointGeometry(blair.chart, jet_point(blair.chart, pts, 2))
     phi = tvalues(st.phi(geo))
@@ -30,7 +30,7 @@ def test_blair_phi_closed_form(blair):
 
 
 def test_blair_validates_and_kc_exact(blair):
-    st = blair.structure()
+    st = blair.structures[0]
     pts, _, _ = sample(blair.chart, 100, seed=15)
     assert np.max(CT.kc_residuals(st, pts)) < 1e-10
     reeb = CT.reeb_residuals(st, pts)
@@ -40,18 +40,18 @@ def test_blair_validates_and_kc_exact(blair):
 
 def test_unnormalized_fails_kc_with_three_quarters(unnormalized):
     """The printed 1-form on the unit torus misses the axiom by exactly 3/4."""
-    spec = unnormalized.structure()
+    spec = unnormalized.structures[0]
     st = CT.ContactMetricStructure(unnormalized.chart, spec.xi, spec.name)
     pts, _, _ = sample(unnormalized.chart, 60, seed=25)
     assert np.max(CT.unit_length_residuals(st, pts)) < 1e-12
-    comp = CT.kc_max_component_residuals(st, pts)
-    assert np.max(np.abs(comp - 0.75)) < 1e-12
+    # 3/4 of the rank-2 projector onto ker eta: frame norm sqrt(2) * 3/4
+    res = CT.kc_residuals(st, pts)
+    assert np.max(np.abs(res - np.sqrt(2.0) * 0.75)) < 1e-12
 
 
 def test_sphere_structures_validate(s3, s5):
-    for entry, names in ((s3, ("i", "j", "k")), (s5, ("i",))):
-        for name in names:
-            st = entry.structure(name)
+    for entry in (s3, s5):
+        for st in entry.structures:
             pts, _, _ = sample(entry.chart, 30, seed=35)
             assert np.max(CT.kc_residuals(st, pts)) < 1e-8
 
@@ -59,9 +59,9 @@ def test_sphere_structures_validate(s3, s5):
 def test_s3_reeb_fields_match_quaternion_oracle(s3):
     """Catalog j/k fields equal the ambient left multiplications."""
     pts, _, _ = sample(s3.chart, 20, seed=45)
-    for name, quat in (("i", oracles.QUAT_I), ("j", oracles.QUAT_J),
-                       ("k", oracles.QUAT_K)):
-        xi = s3.structure(name).xi
+    for spec, quat in zip(s3.structures,
+                          (oracles.QUAT_I, oracles.QUAT_J, oracles.QUAT_K), strict=True):
+        xi = spec.xi
         geo = PointGeometry(s3.chart, jet_point(s3.chart, pts, 0))
         vals = tvalues(xi(geo.x))
         for b, p in enumerate(pts):
@@ -71,7 +71,7 @@ def test_s3_reeb_fields_match_quaternion_oracle(s3):
 
 def test_killing_classification(blair, s3, s5):
     pts3 = sample(blair.chart, 80, seed=55)[0]
-    st = CT.ContactMetricStructure(blair.chart, blair.structure().xi, "blair")
+    st = CT.ContactMetricStructure(blair.chart, blair.structures[0].xi, "blair")
     res = CT.killing_residuals(st, pts3)
     assert np.max(res) >= 0.4
     # witness from the statement: coordinate value t = pi/2
@@ -79,43 +79,42 @@ def test_killing_classification(blair, s3, s5):
     assert wit[0] >= 0.4
     # sign flip leaves the Lie derivative residual unchanged
     def neg(x):
-        return np.array([v * (-1.0) for v in blair.structure().xi(x)], dtype=object)
+        return np.array([v * (-1.0) for v in blair.structures[0].xi(x)], dtype=object)
 
     st_neg = CT.ContactMetricStructure(blair.chart, neg, "minus")
     assert np.max(np.abs(CT.killing_residuals(st_neg, pts3) - res)) < 1e-12
     for entry in (s3, s5):
-        st = CT.ContactMetricStructure(entry.chart, entry.structure().xi, "i")
+        st = CT.ContactMetricStructure(entry.chart, entry.structures[0].xi, "i")
         pts, _, _ = sample(entry.chart, 25, seed=65)
         assert np.max(CT.killing_residuals(st, pts)) < 1e-8
 
 
 def test_ricci_reeb_criterion(blair, s3, s5):
-    st = CT.ContactMetricStructure(blair.chart, blair.structure().xi, "blair")
+    st = CT.ContactMetricStructure(blair.chart, blair.structures[0].xi, "blair")
     pts, _, _ = sample(blair.chart, 50, seed=75)
     deficit = CT.ricci_reeb_deficit(st, pts)
     assert np.max(np.abs(deficit + 2.0)) < 1e-10     # flat: 0 - 2n = -2
     for entry in (s3, s5):
-        st = CT.ContactMetricStructure(entry.chart, entry.structure().xi, "i")
+        st = CT.ContactMetricStructure(entry.chart, entry.structures[0].xi, "i")
         pts, _, _ = sample(entry.chart, 25, seed=85)
         assert np.max(np.abs(CT.ricci_reeb_deficit(st, pts))) < 1e-8
 
 
 def test_sasaki_classification(blair, s3, s5):
-    st = CT.ContactMetricStructure(blair.chart, blair.structure().xi, "blair")
+    st = CT.ContactMetricStructure(blair.chart, blair.structures[0].xi, "blair")
     pts, _, _ = sample(blair.chart, 50, seed=95)
     assert np.max(CT.sasaki_residuals(st, pts)) >= 0.4
-    for entry, names in ((s3, ("i", "j", "k")), (s5, ("i",))):
+    for entry in (s3, s5):
         pts, _, _ = sample(entry.chart, 25, seed=105)
-        for name in names:
-            st = CT.ContactMetricStructure(entry.chart,
-                                           entry.structure(name).xi, name)
+        for spec in entry.structures:
+            st = CT.ContactMetricStructure(entry.chart, spec.xi, spec.name)
             assert np.max(CT.sasaki_residuals(st, pts)) < 1e-7
 
 
 def test_cone_symplectic_data(blair, s3):
     for entry in (blair, s3):
         sympl = CT.ConeSymplecticData(C.build_cone(entry.chart),
-                                      entry.structure())
+                                      entry.structures[0])
         pts, radii, _ = sample(entry.chart, 30, seed=115)
         cpts = np.column_stack([pts, radii])
         res = CT.symplectic_residuals(sympl, cpts)
@@ -128,14 +127,14 @@ def test_cone_symplectic_data(blair, s3):
 def test_cone_symplectic_rejects_invalid_base(unnormalized):
     """Over a base that misses the contact metric axiom, J^2 != -Id."""
     cn = C.build_cone(unnormalized.chart)
-    sympl = CT.ConeSymplecticData(cn, unnormalized.structure())
+    sympl = CT.ConeSymplecticData(cn, unnormalized.structures[0])
     cpts = cn.chart.sample_points(25, SplitMix64(1202))
     assert np.max(CT.symplectic_residuals(sympl, cpts)["complex-square"]) > 1e-8
 
 
 def test_j_radial_action_and_ambient_match(s3):
     """J d_r = xi / r, and on the flat cone J matches the ambient i."""
-    st = s3.structure("i")
+    st = s3.structures[0]
     sympl = CT.ConeSymplecticData(C.build_cone(s3.chart), st)
     pts, radii, _ = sample(s3.chart, 15, seed=125)
     cpts = np.column_stack([pts, radii])
@@ -152,14 +151,14 @@ def test_j_radial_action_and_ambient_match(s3):
 
 def test_parallel_omega_iff_sasaki(blair, s3):
     pts_b, radii_b, _ = sample(blair.chart, 40, seed=135)
-    st_b = CT.ContactMetricStructure(blair.chart, blair.structure().xi, "blair")
+    st_b = CT.ContactMetricStructure(blair.chart, blair.structures[0].xi, "blair")
     sympl_b = CT.ConeSymplecticData(C.build_cone(blair.chart), st_b)
     par_b = CT.parallel_omega_residuals(sympl_b, np.column_stack([pts_b, radii_b]))
     sas_b = CT.sasaki_residuals(st_b, pts_b)
     assert np.min(par_b) > 0.1 and np.max(sas_b) > 0.1
 
     pts_s, radii_s, _ = sample(s3.chart, 40, seed=145)
-    st_s = CT.ContactMetricStructure(s3.chart, s3.structure("i").xi, "i")
+    st_s = CT.ContactMetricStructure(s3.chart, s3.structures[0].xi, "i")
     sympl_s = CT.ConeSymplecticData(C.build_cone(s3.chart), st_s)
     par_s = CT.parallel_omega_residuals(sympl_s, np.column_stack([pts_s, radii_s]))
     sas_s = CT.sasaki_residuals(st_s, pts_s)
@@ -168,7 +167,7 @@ def test_parallel_omega_iff_sasaki(blair, s3):
 
 def test_phi_solves_defining_linear_system(s3):
     """g(phi X, Y) = d(eta)(X, Y) / 2 literally, on random directions."""
-    st = s3.structure("j")
+    st = s3.structures[1]
     pts, _, dirs = sample(s3.chart, 20, seed=155)
     geo = PointGeometry(s3.chart, jet_point(s3.chart, pts, 2))
     phi = tvalues(st.phi(geo))
@@ -183,7 +182,7 @@ def test_report_operations(blair, s3):
     """Reports over the classification kernels carry the expected verdicts."""
     from conelab.report import make_report
 
-    st_b = CT.ContactMetricStructure(blair.chart, blair.structure().xi, "blair")
+    st_b = CT.ContactMetricStructure(blair.chart, blair.structures[0].xi, "blair")
     pts, radii, _ = sample(blair.chart, 20, seed=165)
     rep = make_report("killing-field", "K-contact (xi Killing)",
                       CT.killing_residuals(st_b, pts), 1e-7, pts)
@@ -196,7 +195,7 @@ def test_report_operations(blair, s3):
                       CT.sasaki_residuals(st_b, pts), 1e-7, pts)
     assert rep.verdict == "fail" and rep.witness is not None
 
-    st_s = CT.ContactMetricStructure(s3.chart, s3.structure("i").xi, "i")
+    st_s = CT.ContactMetricStructure(s3.chart, s3.structures[0].xi, "i")
     sympl = CT.ConeSymplecticData(C.build_cone(s3.chart), st_s)
     pts_s, radii_s, _ = sample(s3.chart, 20, seed=175)
     cpts_s = np.column_stack([pts_s, radii_s])

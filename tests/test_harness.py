@@ -11,7 +11,7 @@ import pytest
 
 from conelab import catalog, cone, contact, jets, pairs, weitzenboeck
 from conelab.cli import main as cli_main
-from conelab.report import SuiteConfig, all_pass, make_report, report_json
+from conelab.report import SuiteConfig, make_report, report_json
 from conelab.suites import (
     _MAX_JET_ORDER,
     INTEGRANDS,
@@ -72,7 +72,7 @@ def test_expected_verdicts_spheres():
         for suite in ("kcontact", "sasaki"):
             reports = run_suite(_config(manifold, suite,
                                         samples=12 if manifold == "s5-round" else 25))
-            assert all_pass(reports), (manifold, suite)
+            assert all(r.verdict == "pass" for r in reports), (manifold, suite)
 
 
 def test_unnormalized_contact_axioms_fail_only_where_expected():
@@ -101,7 +101,7 @@ def test_tolerance_override_changes_verdict():
                      tolerances={"killing-field": 10.0,
                                  "ricci-reeb-criterion": 10.0})
     reports = run_suite(config)
-    assert all_pass(reports)
+    assert all(r.verdict == "pass" for r in reports)
 
 
 def test_determinism_byte_identical_reports():
@@ -123,7 +123,7 @@ def test_cone_identities_on_every_catalog_base():
     """Every cone-chart identity passes on all four entries, 200 samples."""
     for manifold in catalog.keys():
         reports = run_suite(_config(manifold, "cone-identities", samples=200))
-        assert all_pass(reports), manifold
+        assert all(r.verdict == "pass" for r in reports), manifold
 
 
 def test_integrate_level_set_values():
@@ -291,6 +291,22 @@ def test_cli_integrate_engine_error_is_one_stderr_line(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "MemoryError: Unable to allocate 74.5 TiB\n"
+
+
+def test_cli_verify_engine_error_is_one_stderr_line(monkeypatch, capsys):
+    """An exception outside any kernel, such as the sample draw failing to
+    allocate at a huge --samples, ends `verify` with exit 1 and one stderr
+    line, not a traceback."""
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 21.8 TiB")
+
+    monkeypatch.setattr("conelab.suites._draw", out_of_memory)
+    assert cli_main(["verify", "kcontact", "--manifold", "s3-round",
+                     "--samples", "1000000000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "MemoryError: Unable to allocate 21.8 TiB\n"
+    assert "Traceback" not in captured.err
 
 
 def test_cli_config_file_flags_win(tmp_path):
@@ -664,4 +680,4 @@ def test_identity_list_of_every_valid_pair(suite, manifold):
     "1e-8 tolerance at this radius (ROADMAP item 8)"))
 def test_integration_passes_at_a_small_radius_on_s3():
     config = _config("s3-round", "integration", radii=(0.5802173633203054,))
-    assert all_pass(run_suite(config))
+    assert all(r.verdict == "pass" for r in run_suite(config))

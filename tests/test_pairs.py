@@ -17,11 +17,12 @@ from .conftest import geometry, sample
 def sphere_pair(s3):
     cn = C.build_cone(s3.chart)
 
-    def sympl(name):
-        st = CT.ContactMetricStructure(s3.chart, s3.structure(name).xi, name)
+    def sympl(spec):
+        st = CT.ContactMetricStructure(s3.chart, spec.xi, spec.name)
         return CT.ConeSymplecticData(cn, st)
 
-    return P.StructurePair(sympl("i"), sympl("j")), sympl("k"), cn
+    sympl_i, sympl_j, sympl_k = (sympl(spec) for spec in s3.structures)
+    return P.StructurePair(sympl_i, sympl_j), sympl_k, cn
 
 
 @pytest.fixture(scope="module")
@@ -129,8 +130,8 @@ def test_s2_family_random_combination(sphere_pair, cone_samples, s3, rng):
 def test_mismatched_cones_rejected(s3, blair):
     cn_s = C.build_cone(s3.chart)
     cn_t = C.build_cone(blair.chart)
-    st_s = CT.ContactMetricStructure(s3.chart, s3.structure("i").xi, "i")
-    st_t = CT.ContactMetricStructure(blair.chart, blair.structure().xi, "b")
+    st_s = CT.ContactMetricStructure(s3.chart, s3.structures[0].xi, "i")
+    st_t = CT.ContactMetricStructure(blair.chart, blair.structures[0].xi, "b")
     with pytest.raises(ValueError):
         P.StructurePair(CT.ConeSymplecticData(cn_s, st_s),
                         CT.ConeSymplecticData(cn_t, st_t))

@@ -17,8 +17,8 @@ from conelab import weitzenboeck as W
 from .conftest import sample
 
 
-def _sympl(entry, name=None):
-    spec = entry.structure(name)
+def _sympl(entry):
+    spec = entry.structures[0]
     st = CT.ContactMetricStructure(entry.chart, spec.xi, spec.name)
     return CT.ConeSymplecticData(C.build_cone(entry.chart), st)
 
@@ -130,7 +130,7 @@ def test_balance_identity_reassembles(blair_data):
 
 
 def test_kaehler_cone_everything_vanishes(s3):
-    sympl = _sympl(s3, "i")
+    sympl = _sympl(s3)
     pts, radii, _ = sample(s3.chart, 20, seed=29)
     data = W.weitzenboeck_data(sympl, pts, radii)
     for name in ("s", "s_star", "nab_omega_sq", "div_term", "ric_div_term",
@@ -177,7 +177,7 @@ def test_radial_profile_operation(blair, s3):
     assert np.max(prof["f-positivity"]) == 0.0
     assert np.max(np.abs(prof["alpha"])) < 1e-12
 
-    sympl_s = _sympl(s3, "i")
+    sympl_s = _sympl(s3)
     pts_s, _, _ = sample(s3.chart, 8, seed=49)
     prof_s = _profiles(sympl_s, pts_s)
     assert np.max(np.abs(prof_s["f"])) < 1e-10          # Kaehler: f == 0
