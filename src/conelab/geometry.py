@@ -2,9 +2,11 @@
 
 Everything evaluates at a *jet point*: chart coordinates seeded as truncated
 Taylor variables.  ``PointGeometry(chart, jet_point(chart, points, order))``
-is the one entry point; it caches the metric, its inverse, the connection
-and the curvature of a batch of points, and ``tvalues`` reads any of its
-tensors as floats.  Derived tensors are object arrays of jets, so downstream
+is the one entry point; it caches the metric and its inverse (jets and
+values), the Christoffel symbols, ``riemann``, ``ricci`` and the scalar
+curvature of a batch of points.  ``riemann_low`` is formed on each read
+instead: its one reader reads it once, and the rank-4 tensor should not
+outlive that step.  ``tvalues`` reads any of its tensors as floats.  Derived tensors are object arrays of jets, so downstream
 operators keep differentiating until the seeded order is exhausted.
 Contractions go through ``np.tensordot``, elementwise jet arithmetic
 through numpy's object ufuncs (``_addmul``/``_submul`` fuse acc +- x * y),
@@ -194,13 +196,15 @@ class PointGeometry:
             out[:, j, i] = -acc
         return out
 
-    @_cached
+    @property
     def riemann_low(self):
-        """Rlow[i, j, k, l] = g(R(d_i, d_j) d_k, d_l)."""
-        # d^5 products (1,024 on a 4-dimensional cone), but the only reader,
-        # weitzenboeck's rho*, takes the blocks with i < j (384 of them): the
-        # other 640 are formed and never read.  Forming only those blocks
-        # moves the benchmark's pinned product counts.
+        """Rlow[i, j, k, l] = g(R(d_i, d_j) d_k, d_l), formed on every read."""
+        # Not cached: its one reader, weitzenboeck's rho* step, reads it once
+        # per pass, and a cached copy (27 MiB of jets on the t3-blair cone at
+        # order 6 and 200 samples) would outlive that step.  d^5 products (1,024
+        # on a 4-dimensional cone), but rho* takes only the blocks with i < j
+        # (384 of them): the other 640 are formed and never read.  Forming
+        # only those blocks moves the benchmark's pinned product counts.
         return np.tensordot(np.moveaxis(self.riemann, 0, -1), self.g, axes=([3], [0]))
 
     @_cached

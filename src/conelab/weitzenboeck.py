@@ -83,6 +83,11 @@ def weitzenboeck_data(sympl: ConeSymplecticData, base_pts, radii,
     mode "divergence" computes only the two codifferential terms (what the
     level-set integrals need) and leaves the second-derivative fields None;
     it gets away with lower jet order and skips the rough Laplacian.
+
+    Each rank-4 jet tensor lives only within the step that reads it:
+    nab^2 Omega within the rough Laplacian, R_low within rho*.  Only the
+    geometry's cached ``riemann`` outlives its first reader, because Ricci
+    and the scalar curvature read it too.
     """
     cone = sympl.cone
     d = cone.dim
@@ -95,24 +100,8 @@ def weitzenboeck_data(sympl: ConeSymplecticData, base_pts, radii,
 
     nab_om = geo.covd(om, (0, 2))            # [m, i, j]
 
-    rough = None
-    if full:
-        nab2_om = geo.covd(nab_om, (0, 3))   # [n, m, i, j]
-        # rough Laplacian nab*nab Omega = -g^{nm} nab^2_{n m} Omega
-        rough = -np.tensordot(geo.ginv, nab2_om, 2)
-
-    # rho* = (sign/2) Rlow[i,j,k,l] J^l_m g^{km}; the orthonormal frame sum
-    # sum_a E_a (x) J E_a collapses to g^{km} J^l_m, so no frame is needed
-    rlow = geo.riemann_low
-    rho_star = np.empty((d, d), object)
-    ginv = geo.ginv
-    for i, j in zip(*np.triu_indices(d, 1)):
-        # sum_{k,m} (sum_l Rlow[i,j,k,l] J^l_m) g^{km}
-        acc = np.tensordot(np.tensordot(rlow[i, j], jj, 1), ginv, 2)[()]
-        val = (0.5 * RHO_STAR_SIGN) * acc
-        rho_star[i, j] = val
-        rho_star[j, i] = -val
-    np.fill_diagonal(rho_star, rho_star[0, 1] - rho_star[0, 1])
+    rough = _rough_laplacian(geo, nab_om) if full else None
+    rho_star = _rho_star(geo, jj)
 
     # s* = <rho*, Omega> full sum (jet level, for the outer Laplacian)
     s_star = np.tensordot(rho_star, _raise2(geo, om), 2)[()]
@@ -176,6 +165,34 @@ def weitzenboeck_data(sympl: ConeSymplecticData, base_pts, radii,
     return replace(data, lap_s_diff=lap_v, rough_sq=rough_sq, phi_sq=phi_sq,
                    rho_phi=rho_phi, rho_rough=rho_rough, solved_rpp_sq=solved,
                    phi=phi_v)
+
+
+def _rough_laplacian(geo, nab_om):
+    """nab*nab Omega = -g^{nm} nab^2_{n m} Omega, a (0,2) object tensor.
+
+    nab^2 Omega ([n, m, i, j], d^4 jets) is formed and dropped here.
+    """
+    return -np.tensordot(geo.ginv, geo.covd(nab_om, (0, 3)), 2)
+
+
+def _rho_star(geo, jj):
+    """rho* = (sign/2) Rlow[i,j,k,l] J^l_m g^{km}, an antisymmetric object 2-form.
+
+    The orthonormal frame sum sum_a E_a (x) J E_a collapses to g^{km} J^l_m,
+    so no frame is needed.  R_low (d^4 jets) is formed and dropped here.
+    """
+    d = geo.dim
+    rlow = geo.riemann_low
+    ginv = geo.ginv
+    rho_star = np.empty((d, d), object)
+    for i, j in zip(*np.triu_indices(d, 1)):
+        # sum_{k,m} (sum_l Rlow[i,j,k,l] J^l_m) g^{km}
+        acc = np.tensordot(np.tensordot(rlow[i, j], jj, 1), ginv, 2)[()]
+        val = (0.5 * RHO_STAR_SIGN) * acc
+        rho_star[i, j] = val
+        rho_star[j, i] = -val
+    np.fill_diagonal(rho_star, rho_star[0, 1] - rho_star[0, 1])
+    return rho_star
 
 
 def _raise2(geo, T):

@@ -1,12 +1,28 @@
 """Catalog chart metrics, sampling and domain handling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conelab import catalog
-from conelab.chart import SAMPLE_MARGIN, jet_point
+from conelab.chart import SAMPLE_MARGIN, ManifoldChart, jet_point
 from conelab.errors import DomainError
 from conelab.rng import SplitMix64
+
+
+def periodic_drift(chart, pts):
+    """{coordinate: largest |g(p + period e_i) - g(p)|} over the sampled
+    points, one entry per periodic coordinate."""
+    g = chart.metric_values(pts)
+    drift = {}
+    for i, period in enumerate(chart.periodic):
+        if period is None:
+            continue
+        shifted = pts.copy()
+        shifted[:, i] += period
+        drift[chart.coords[i]] = np.max(np.abs(g - chart.metric_values(shifted)))
+    return drift
 
 
 def test_validate_catalog_charts():
@@ -18,13 +34,23 @@ def test_validate_catalog_charts():
         g = chart.metric_values(pts)
         assert np.max(np.abs(g - np.swapaxes(g, 1, 2))) < 1e-10, key
         np.linalg.cholesky(g)
-        for i, period in enumerate(chart.periodic):
-            if period is None:
-                continue
-            shifted = pts.copy()
-            shifted[:, i] += period
-            drift = np.max(np.abs(g - chart.metric_values(shifted)))
-            assert drift < 1e-9, (key, chart.coords[i])
+        for coord, drift in periodic_drift(chart, pts).items():
+            assert drift < 1e-9, (key, coord)
+
+
+def test_periodic_drift_catches_a_wrong_period():
+    """Every catalog metric is independent of its periodic coordinates, so
+    the drift check above cannot fail on the catalog.  g = diag(1, 2 + cos
+    theta) depends on theta: it passes at theta's period 2 pi and fails at
+    pi."""
+    chart = ManifoldChart(
+        dim=2, coords=("x", "theta"), domain=((0.0, 1.0), (0.0, 2 * np.pi)),
+        periodic=(None, 2 * np.pi),
+        metric=lambda x: [[1.0, 0.0], [0.0, 2.0 + np.cos(x[1])]])
+    pts = chart.sample_points(25, SplitMix64(2023))
+    assert periodic_drift(chart, pts)["theta"] < 1e-9
+    wrong = replace(chart, periodic=(None, np.pi))
+    assert periodic_drift(wrong, wrong.sample_points(25, SplitMix64(2023)))["theta"] > 0.1
 
 
 def test_sampling_respects_margin_and_period(s3):

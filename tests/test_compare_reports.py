@@ -19,10 +19,12 @@ def gate():
 
 
 def tree(suites=("kcontact", "sasaki"), manifolds=("t3-blair", "s3-round"),
-         integrands=("one",), refused=(("sasaki", "t3-blair"),), residual=1e-9):
-    """A source tree, as its command line answers."""
+         integrands=("one",), refused=(("sasaki", "t3-blair"),), residual=1e-9,
+         rss=None):
+    """A source tree, as its command line answers; ``rss`` maps a (suite,
+    manifold) pair to its peak RSS in MB, 30 MB where it is not listed."""
     return {"suites": suites, "manifolds": manifolds, "integrands": integrands,
-            "refused": set(refused), "residual": residual}
+            "refused": set(refused), "residual": residual, "rss": rss or {}}
 
 
 def run_gate(gate, monkeypatch, tmp_path, parent, change):
@@ -47,7 +49,7 @@ def run_gate(gate, monkeypatch, tmp_path, parent, change):
         Path(args[5]).write_text(json.dumps({"reports": [
             {"identity": f"{name}-check", "verdict": "pass", "tolerance": 1e-6,
              "max_residual": residual, "rms_residual": residual}]}))
-        return 0, "1 identities, 0 failing\n", "", 0.1, 30.0
+        return 0, "1 identities, 0 failing\n", "", 0.1, t["rss"].get((name, manifold), 30.0)
 
     monkeypatch.setattr(gate, "run_conelab", run_conelab)
     code = gate.main(["parent", "change", str(tmp_path)])
@@ -59,11 +61,25 @@ def test_identical_trees_pass_and_a_pair_both_refuse_is_skipped(gate, monkeypatc
     code, summary = run_gate(gate, monkeypatch, tmp_path, tree(), tree())
     assert code == 0
     assert summary[0] == ("3/3 byte-equal; 0 violations; 2/2 integrate runs equal; "
+                          "largest peak RSS parent 30.0 MB (kcontact/t3-blair), "
+                          "change 30.0 MB (kcontact/t3-blair); "
+                          "summed peak RSS parent 90.0 MB, change 90.0 MB; "
                           "skipped (exit 2 on both sides): sasaki/t3-blair")
     rows = [line for line in summary if line.startswith("| ") and "| suite |" not in line]
     assert [row.split(" | ")[:2] for row in rows] == [
         ["| kcontact", "t3-blair"], ["| kcontact", "s3-round"], ["| sasaki", "s3-round"]]
     assert all(row.endswith("| equal | yes |") for row in rows)
+
+
+def test_the_totals_name_each_sides_largest_and_summed_peak_rss(gate, monkeypatch,
+                                                                tmp_path):
+    parent = tree(rss={("sasaki", "s3-round"): 120.0})
+    change = tree(rss={("sasaki", "s3-round"): 45.5, ("kcontact", "s3-round"): 60.0})
+    code, summary = run_gate(gate, monkeypatch, tmp_path, parent, change)
+    assert code == 0   # peak RSS gates nothing
+    assert ("largest peak RSS parent 120.0 MB (sasaki/s3-round), "
+            "change 60.0 MB (kcontact/s3-round); "
+            "summed peak RSS parent 180.0 MB, change 135.5 MB; ") in summary[0]
 
 
 def test_a_residual_moved_within_the_allowance_passes(gate, monkeypatch, tmp_path):

@@ -8,7 +8,7 @@ Reads each tree through its ``conelab`` command line alone, run as
 suite x manifold of the two trees' lists runs as ``conelab verify SUITE
 --manifold MANIFOLD --report FILE`` at default settings, the two sides at the
 same time, one process each; ``weitzenboeck`` on ``s5-round``, the slowest
-pair, needs about 1.2 GB per side.  A combination that both sides refuse with
+pair, needs about 0.9 GB per side.  A combination that both sides refuse with
 exit 2 (a usage error: ``hypersasaki``, for one, needs two catalogued
 Sasakian structures) is skipped.  Reports go to ``OUTDIR/parent`` and
 ``OUTDIR/change``.
@@ -18,8 +18,9 @@ peak RSS in MB (the child's ``ru_maxrss`` from ``os.wait4``), whether the
 report files are byte-equal, whether the identity lists, verdicts and exit
 codes are equal, and each residual that moved, with its shift as a share of
 the benchmark gate's allowance ``max(RTOL * |ref|, ATOL_SHARE * tolerance)``
-(``perfbench/workloads.py``); residuals not listed are equal.  Peak RSS gates
-nothing.
+(``perfbench/workloads.py``); residuals not listed are equal.  The totals line
+names each side's largest peak RSS with its pair, and each side's sum over
+all pairs.  Peak RSS gates nothing.
 
 It then runs ``conelab integrate`` for each integrand of the two lists on
 ``t3-blair`` and ``s3-round`` at ``--radius 1.7`` with both trees and prints
@@ -112,6 +113,20 @@ def compare(ref_path, new_path):
     return same, moved
 
 
+def rss_totals(peaks):
+    """'largest peak RSS ...; summed peak RSS ...; ' over the pairs that ran,
+    or '' when none ran."""
+    if not all(peaks.values()):
+        return ""
+    largest, summed = [], []
+    for side, found in peaks.items():
+        mb, pair = max(found, key=lambda peak: peak[0])
+        largest.append(f"{side} {mb:.1f} MB ({pair})")
+        summed.append(f"{side} {sum(mb for mb, _ in found):.1f} MB")
+    return (f"largest peak RSS {', '.join(largest)}; "
+            f"summed peak RSS {', '.join(summed)}; ")
+
+
 def main(argv):
     if len(argv) != 3:
         print("usage: compare_reports.py PARENT_SRC CHANGE_SRC OUTDIR", file=sys.stderr)
@@ -125,6 +140,7 @@ def main(argv):
         list(dict.fromkeys(name for found in lists for name in found.get(section, ())))
         for section in ("suites", "manifolds", "integrands"))
     rows, skipped, violations, equal = [], [], [], 0
+    peaks = {side: [] for side in sides}   # (peak RSS MB, pair) per pair that ran
     for suite in suites:
         for manifold in manifolds:
             paths = {side: Path(outdir) / side / f"{suite}.{manifold}.json"
@@ -141,6 +157,8 @@ def main(argv):
                           file=sys.stderr)
             seconds = {side: round(run[3], 2) for side, run in runs.items()}
             rss = {side: round(run[4], 1) for side, run in runs.items()}
+            for side in sides:
+                peaks[side].append((rss[side], f"{suite}/{manifold}"))
             ran = all(code in (0, 1) for code in codes.values())
             byte_equal = ran and paths["parent"].read_bytes() == paths["change"].read_bytes()
             same, moved = compare(paths["parent"], paths["change"]) if ran else (False, [])
@@ -178,7 +196,7 @@ def main(argv):
         print("no pair ran on either side", file=sys.stderr)
     totals = (f"{equal}/{len(rows)} byte-equal; {len(violations)} violations; "
               f"{integrate_equal}/{integrate_runs} integrate runs equal; "
-              f"skipped (exit 2 on both sides): {', '.join(skipped) or 'none'}")
+              f"{rss_totals(peaks)}skipped (exit 2 on both sides): {', '.join(skipped) or 'none'}")
     table = [totals, "",
              "| suite | manifold | exit | wall s parent | wall s change "
              "| peak RSS MB parent | peak RSS MB change | bytes | ok |",
