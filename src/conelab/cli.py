@@ -6,23 +6,24 @@
     conelab list
     conelab integrate <integrand> --manifold <id> --radius r [--grid N]
 
-Exit codes: 0 all identities pass, 1 failures or engine errors, 2 usage
-(including sample counts, grid counts or radii out of range, an empty radius
-list, a jet order below the suite's minimum, a grid or jet order given to a
-suite that does not read it, weitzenboeck radii that are not two distinct
-values, no manifold from either the flag or the config file, a config file
-that is not a JSON object, has a field it does not know or has a field of
-the wrong JSON type, and a --report path that cannot be written).  The
-reason for each `error` verdict goes to stderr, and so do the class and
-message of any other exception a command raises, on one line with no
-traceback (exit 1).  A JSON config file may supply the same fields as the
-flags; flags win.
+Exit codes: 0 all identities pass, 1 failures, engine errors or an integral
+that is not finite, 2 usage (including sample counts, grid counts or radii
+out of range, an empty radius list, a jet order below the suite's minimum, a
+grid or jet order given to a suite that does not read it, weitzenboeck radii
+that are not two distinct values, no manifold from either the flag or the
+config file, a config file that is not a JSON object, has a field it does
+not know or has a field of the wrong JSON type, and a --report path that
+cannot be written).  The reason for each `error` verdict goes to stderr,
+and so do the class and message of any other exception a command raises, on
+one line with no traceback (exit 1).  A JSON config file may supply the same
+fields as the flags; flags win.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 
@@ -149,6 +150,10 @@ def main(argv=None) -> int:
         if args.command == "integrate":
             value = integrate_level_set(args.manifold, args.radius,
                                         args.integrand, _parse_grid(args.grid))
+            if not math.isfinite(value):  # like verify's `error` verdict
+                raise FloatingPointError(
+                    f"the integral of {args.integrand!r} over M_r at r = "
+                    f"{args.radius} is {value!r}, not finite")
             print(f"{value!r}")
             return 0
 

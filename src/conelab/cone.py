@@ -178,14 +178,10 @@ def form_relation_residuals(geo, bgeo, dir_x, base_form_fn, degree):
     # wedge term, assembled at value level
     xvec = constant_tensor(dir_x, bgeo.dim, bgeo.order)
     int_vals = tvalues(interior_product(xvec, base_omega))  # (B,) + (d,)*(degree-1)
-    for idx in np.ndindex(*(d + 1,) * degree):
-        positions = [m for m, i in enumerate(idx) if i == d]
-        if len(positions) != 1:
-            continue
-        m = positions[0]
-        rest = tuple(i for i in idx if i != d)
-        sign = (-1.0) ** m
-        rhs[(slice(None),) + idx] -= sign * int_vals[(slice(None),) + rest] / r
+    # one slice per slot m: d there, the base indices everywhere else
+    r_b = r.reshape((B,) + (1,) * (degree - 1))
+    for m in range(degree):
+        rhs[core[:m + 1] + (d,) + core[m + 2:]] -= (-1.0) ** m * int_vals / r_b
     res_dir = frame_norm(geo, lhs - rhs, sig)
     return {"form-radial": res_radial, "form-directional": res_dir}
 

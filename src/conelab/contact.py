@@ -1,4 +1,4 @@
-"""Contact metric structures and their cone symplectic data.
+"""Contact metric structures, with the 2-form and J they fix on the cone.
 
 A candidate Reeb field xi on a chart (dim 2n+1) carries the fields of a
 contact metric structure: eta = g(xi, .) and the endomorphism phi solved
@@ -8,11 +8,12 @@ measure each axiom and hypothesis as a residual per point, and the suites
 classify by residual magnitude, never by a bare boolean: their reports say
 how badly an axiom fails and where.
 
-On the cone the structure induces the 2-form
+The structure alone fixes the 2-form on the cone over its chart,
 
     Omega = r dr ^ eta + (r^2 / 2) d eta,
 
-compatible with the cone metric; J is solved from Omega by raising an index.
+compatible with the cone metric, and J, solved from Omega by raising an
+index; both are methods of the structure, evaluated on cone jet coordinates.
 Omega is parallel exactly when the structure is Sasakian, which is what the
 residual suites quantify.
 """
@@ -25,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .chart import ManifoldChart, jet_point
-from .cone import ConeChart
+from .cone import ConeChart, build_cone
 from .geometry import (
     PointGeometry,
     exterior_derivative,
@@ -39,7 +40,8 @@ from .jets import Jet
 
 @dataclass(frozen=True)
 class ContactMetricStructure:
-    """Candidate (xi, eta, phi) bundle on a chart; the suites classify it."""
+    """Candidate (xi, eta, phi) bundle on a chart, with the Omega and J it
+    fixes on the cone over that chart; the suites classify it."""
 
     chart: ManifoldChart
     xi: Callable  # jet coordinates -> contravariant components
@@ -63,6 +65,33 @@ class ContactMetricStructure:
     def phi(self, geo: PointGeometry):
         """phi[a, i] = phi^a_i solved from g(phi X, Y) = (d eta)(X, Y)/2."""
         return _endomorphism(geo, self.half_deta(geo))
+
+    # -- the cone's 2-form and complex structure ------------------------------
+
+    @property
+    def cone(self) -> ConeChart:
+        return build_cone(self.chart)
+
+    def omega(self, geo: PointGeometry):
+        """Omega = r dr ^ eta + (r^2/2) d eta on cone jet coordinates."""
+        d = self.chart.dim
+        base_geo = PointGeometry(self.chart, geo.x[:-1])
+        eta = self.eta(base_geo)
+        h = self.half_deta(base_geo)  # (d, d) object, = d(eta)/2
+        r = geo.x[-1]
+        r2 = r * r
+        out = np.empty((d + 1, d + 1), object)
+        for i in range(d):
+            for j in range(d):
+                out[i, j] = r2 * h[i, j]
+            out[d, i] = r * eta[i]
+            out[i, d] = -(r * eta[i])
+        out[d, d] = Jet.constant(np.zeros(r.batch), r.dim, r.order)
+        return out
+
+    def complex_structure(self, geo: PointGeometry):
+        """J[a, i] = J^a_i with Omega(X, Y) = g_cone(J X, Y)."""
+        return _endomorphism(geo, self.omega(geo))
 
 
 def _endomorphism(geo: PointGeometry, form):
@@ -140,54 +169,17 @@ def sasaki_residuals(structure, points):
     return frame_norm(geo, defect, "ull")
 
 
-# -- cone symplectic data -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConeSymplecticData:
-    """Cone 2-form Omega and the solved almost complex structure J."""
-
-    cone: ConeChart
-    structure: ContactMetricStructure
-
-    def omega(self, geo: PointGeometry):
-        """Omega = r dr ^ eta + (r^2/2) d eta on cone jet coordinates."""
-        d = self.cone.base.dim
-        base_geo = _base_view(self.cone, geo)
-        eta = self.structure.eta(base_geo)
-        h = self.structure.half_deta(base_geo)  # (d, d) object, = d(eta)/2
-        r = geo.x[-1]
-        r2 = r * r
-        out = np.empty((d + 1, d + 1), object)
-        for i in range(d):
-            for j in range(d):
-                out[i, j] = r2 * h[i, j]
-            out[d, i] = r * eta[i]
-            out[i, d] = -(r * eta[i])
-        out[d, d] = Jet.constant(np.zeros(r.batch), r.dim, r.order)
-        return out
-
-    def complex_structure(self, geo: PointGeometry):
-        """J[a, i] = J^a_i with Omega(X, Y) = g_cone(J X, Y)."""
-        return _endomorphism(geo, self.omega(geo))
-
-
-def _base_view(cone: ConeChart, geo: PointGeometry) -> PointGeometry:
-    """Base-chart geometry over the base slice of cone jet coordinates."""
-    return PointGeometry(cone.base, geo.x[:-1])
-
-
-def symplectic_residuals(data: ConeSymplecticData, points):
+def symplectic_residuals(structure: ContactMetricStructure, points):
     """dOmega = 0, |Omega|^2 = dim, J isometry; per-point residuals."""
-    cone = data.cone
+    cone = structure.cone
     geo = PointGeometry(cone.chart, jet_point(cone.chart, points, 2))
     d = cone.dim
-    om = data.omega(geo)
+    om = structure.omega(geo)
     dom = tvalues(exterior_derivative(om))
     closed = frame_norm(geo, dom, "lll")
     om_v = tvalues(om)
     norm = np.abs(norm_squared(geo.g_values, geo.ginv_values, om_v, "ll") - d)
-    j = tvalues(data.complex_structure(geo))
+    j = tvalues(structure.complex_structure(geo))
     pulled = np.einsum("zai,zab,zbj->zij", j, geo.g_values, j)
     isometry = frame_norm(geo, pulled - geo.g_values, "ll")
     square = np.einsum("bam,bmi->bai", j, j) + np.eye(d)[None, :, :]
@@ -196,8 +188,9 @@ def symplectic_residuals(data: ConeSymplecticData, points):
             "complex-square": sq_res, "complex-isometry": isometry}
 
 
-def parallel_omega_residuals(data: ConeSymplecticData, points):
+def parallel_omega_residuals(structure: ContactMetricStructure, points):
     """|nab Omega| per cone point (vanishes iff the base is Sasakian)."""
-    geo = PointGeometry(data.cone.chart, jet_point(data.cone.chart, points, 3))
-    nab = tvalues(geo.covd(data.omega(geo), (0, 2)))
+    chart = structure.cone.chart
+    geo = PointGeometry(chart, jet_point(chart, points, 3))
+    nab = tvalues(geo.covd(structure.omega(geo), (0, 2)))
     return frame_norm(geo, nab, "lll")

@@ -6,8 +6,9 @@ is the one entry point; it caches the metric and its inverse (jets and
 values), the Christoffel symbols, ``riemann``, ``ricci`` and the scalar
 curvature of a batch of points.  ``riemann_low`` is formed on each read
 instead: its one reader reads it once, and the rank-4 tensor should not
-outlive that step.  ``tvalues`` reads any of its tensors as floats.  Derived tensors are object arrays of jets, so downstream
-operators keep differentiating until the seeded order is exhausted.
+outlive that step.  ``tvalues`` reads any of its tensors as floats.
+Derived tensors are object arrays of jets, so downstream operators keep
+differentiating until the seeded order is exhausted.
 Contractions go through ``np.tensordot``, elementwise jet arithmetic
 through numpy's object ufuncs (``_addmul``/``_submul`` fuse acc +- x * y),
 folds through ``reduce(np.add, ...)``: each applies one jet operation per

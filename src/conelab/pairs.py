@@ -21,20 +21,20 @@ from functools import reduce
 import numpy as np
 
 from .chart import jet_point
-from .contact import ConeSymplecticData
+from .contact import ContactMetricStructure
 from .errors import DegeneratePairError, ImpossiblePairError
 from .geometry import PointGeometry, frame_norm, tvalues
 
 
 @dataclass(frozen=True)
 class StructurePair:
-    """Two cone symplectic structures over the same cone chart."""
+    """Two contact metric structures on one chart, so on one cone."""
 
-    first: ConeSymplecticData
-    second: ConeSymplecticData
+    first: ContactMetricStructure
+    second: ContactMetricStructure
 
     def __post_init__(self):
-        if self.first.cone.chart.label != self.second.cone.chart.label:
+        if self.first.chart.label != self.second.chart.label:
             raise ValueError("structures live on different cones")
 
     @property
@@ -137,7 +137,7 @@ def quaternion_relation_residuals(pair: StructurePair, points, lam: float):
     }
 
 
-def s2_family_coefficients(pair: StructurePair, third: ConeSymplecticData,
+def s2_family_coefficients(pair: StructurePair, third: ContactMetricStructure,
                            points, lam: float):
     """Expand the third structure's J'' over the triple (I, J, K).
 

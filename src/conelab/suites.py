@@ -334,7 +334,6 @@ def _contact_axioms(entry, config):
 
     rows = []
     for tag, st in _structures(entry):
-        sympl = contact.ConeSymplecticData(cone_mod.build_cone(entry.chart), st)
         rows += [
             Row([(f"contact-unit-length{tag}", "ContactMetricStructure", 1e-9)],
                 lambda st=st: ([contact.unit_length_residuals(st, pts)], pts)),
@@ -343,8 +342,8 @@ def _contact_axioms(entry, config):
             Row([(f"contact-reeb-conditions{tag}", "Eq. (kc)", 1e-8)],
                 lambda st=st: reeb(st)),
             Row([(f"cone-{key}{tag}", "Eq. (om)", 1e-8) for key in sympl_keys],
-                lambda sympl=sympl: _picked(
-                    contact.symplectic_residuals(sympl, cpts), sympl_keys, cpts)),
+                lambda st=st: _picked(
+                    contact.symplectic_residuals(st, cpts), sympl_keys, cpts)),
         ]
     return rows
 
@@ -368,9 +367,8 @@ def _sasaki(entry, config):
     cpts = _cone_points(pts, radii)
     rows = []
     for tag, st in _structures(entry):
-        sympl = contact.ConeSymplecticData(cone_mod.build_cone(entry.chart), st)
         sas = cache(lambda st=st: contact.sasaki_residuals(st, pts))
-        par = cache(lambda sympl=sympl: contact.parallel_omega_residuals(sympl, cpts))
+        par = cache(lambda st=st: contact.parallel_omega_residuals(st, cpts))
 
         def agreement(sas=sas, par=par):
             worst = np.array([np.max(sas()), np.max(par())])
@@ -395,8 +393,7 @@ _SCALING_TERMS = ("lap_s_diff", "div_term", "ric_div_term", "ric_anti_sq",
 
 
 def _weitzenboeck(entry, config):
-    sympl = contact.ConeSymplecticData(cone_mod.build_cone(entry.chart),
-                                       entry.structures[0])
+    st = entry.structures[0]
     rng, pts, radii, dirs = _draw(entry, config)
     dirs4 = rng.unit_vectors(len(pts), entry.chart.dim + 1)
     cpts = _cone_points(pts, radii)
@@ -405,7 +402,7 @@ def _weitzenboeck(entry, config):
     r1, r2 = (float(r) for r in config.radii)
 
     def pointwise():
-        data = weitzenboeck.weitzenboeck_data(sympl, pts, radii, order)
+        data = weitzenboeck.weitzenboeck_data(st, pts, radii, order)
         return [
             weitzenboeck.radial_parallel_residuals(data),
             weitzenboeck.star_scalar_consistency(data),
@@ -416,8 +413,8 @@ def _weitzenboeck(entry, config):
         ], cpts
 
     def radial():
-        d1 = weitzenboeck.weitzenboeck_data(sympl, pts, np.full(len(pts), r1), order)
-        d2 = weitzenboeck.weitzenboeck_data(sympl, pts, np.full(len(pts), r2), order)
+        d1 = weitzenboeck.weitzenboeck_data(st, pts, np.full(len(pts), r1), order)
+        d2 = weitzenboeck.weitzenboeck_data(st, pts, np.full(len(pts), r2), order)
         prof = weitzenboeck.radial_profiles(d1, d2, r1, r2)
         b1, m1 = weitzenboeck.omega_derivative_blocks(d1)
         b2, m2 = weitzenboeck.omega_derivative_blocks(d2)
@@ -452,9 +449,7 @@ def _hypersasaki(entry, config):
             "structures; hypersasaki needs a pair")
     rng, pts, radii, _ = _draw(entry, config)
     cpts = _cone_points(pts, radii)
-    cn = cone_mod.build_cone(entry.chart)
-    sympl = [contact.ConeSymplecticData(cn, st) for st in sasakian]
-    pair = pairs.StructurePair(sympl[0], sympl[1])
+    pair = pairs.StructurePair(sasakian[0], sasakian[1])
     # (lambda, |Q - lambda Id|, lambda variation); every later row needs lambda
     anticommutator = cache(lambda: pairs.anticommutator_lambda(pair, cpts))
 
@@ -470,7 +465,7 @@ def _hypersasaki(entry, config):
                         cpts)
 
     def family():
-        _, resid, unit = pairs.s2_family_coefficients(pair, sympl[2], cpts, lam())
+        _, resid, unit = pairs.s2_family_coefficients(pair, sasakian[2], cpts, lam())
         return [np.maximum(resid, unit)], cpts
 
     rows = [
@@ -497,9 +492,7 @@ def _hypersasaki(entry, config):
             xi = catalog.reeb_combination(sasakian[:3], raw)
             st = contact.ContactMetricStructure(entry.chart, xi, "combo")
             sas = contact.sasaki_residuals(st, pts)
-            combo_sympl = contact.ConeSymplecticData(cn, st)
-            _, resid, unit = pairs.s2_family_coefficients(
-                pair, combo_sympl, cpts, lam())
+            _, resid, unit = pairs.s2_family_coefficients(pair, st, cpts, lam())
             return [np.maximum(sas, np.maximum(resid, unit))], pts
 
         rows += [
@@ -552,12 +545,12 @@ def integrand_values(entry, name, data, r):
     return data.phi_sq  # "phi-norm"
 
 
-def _level_set_integrals(entry, r, family, names, counts):
+def _level_set_integrals(entry, r, family, names, grid):
     """Quadratures over M_r of integrands of one family (None for "one"), in
     `names` order.  Every quadrature call uses the same nodes, so the
     family's one pipeline pass, made at the first call, serves them all."""
-    cn = cone_mod.build_cone(entry.chart)
-    sympl = contact.ConeSymplecticData(cn, entry.structures[0])
+    st = entry.structures[0]
+    counts = _node_counts(entry, family, grid)
     held = []
 
     def values(name):
@@ -566,22 +559,19 @@ def _level_set_integrals(entry, r, family, names, counts):
                 return np.ones(len(pts))
             if not held:
                 held.append(weitzenboeck.weitzenboeck_data(
-                    sympl, pts, np.full(len(pts), float(rr)), family.order,
+                    st, pts, np.full(len(pts), float(rr)), family.order,
                     mode=family.mode))
             return integrand_values(entry, name, held[0], rr)
 
         return fn
 
-    return [quadrature.integrate_level_set(cn, r, values(name), counts)
+    return [quadrature.integrate_level_set(st.cone, r, values(name), counts)
             for name in names]
 
 
 def integrate_level_set(manifold: str, r: float, integrand: str, grid=None):
-    """Named-integrand quadrature over the level set M_r.
-
-    Without a grid, "one" uses the catalog quadrature spec and the curvature
-    integrands the entry's tuned curvature_quadrature.
-    """
+    """Named-integrand quadrature over the level set M_r, on the nodes
+    `_node_counts` picks."""
     check_field("manifold", manifold)
     entry = catalog.get(manifold)
     if integrand not in INTEGRANDS:
@@ -591,25 +581,30 @@ def integrate_level_set(manifold: str, r: float, integrand: str, grid=None):
     check_field("grid", grid)
     family = next((f for f in INTEGRAND_FAMILIES.values()
                    if integrand in f.members), None)
-    counts = entry.quadrature if family is None else entry.curvature_quadrature
+    return _level_set_integrals(entry, r, family, (integrand,), grid)[0]
+
+
+def _node_counts(entry, family, grid):
+    """Node counts per base coordinate: a grid's, else the entry's
+    `quadrature` for the volume and "one" (family None), else its tuned
+    `curvature_quadrature` for an integrand family."""
     if grid is not None:
-        counts = _grid_counts(entry, grid)
-    return _level_set_integrals(entry, r, family, (integrand,), counts)[0]
+        return _grid_counts(entry, grid)
+    return entry.quadrature if family is None else entry.curvature_quadrature
 
 
 def _integration(entry, config):
-    grid = None if config.grid is None else _grid_counts(entry, config.grid)
     r = float(config.radii[0])
-    counts = grid or entry.curvature_quadrature
 
     def volume():
-        vol = quadrature.chart_volume(entry.chart, grid or entry.quadrature)
+        vol = quadrature.chart_volume(entry.chart,
+                                      _node_counts(entry, None, config.grid))
         expected = entry.known_values["volume"]
         return [np.array([abs(vol - expected) / abs(expected)])], None
 
     def integrals(family):
         return lambda: ([np.array([abs(v)]) for v in _level_set_integrals(
-            entry, r, family, family.members, counts)], None)
+            entry, r, family, family.members, config.grid)], None)
 
     rows = []
     if entry.known_values.get("volume"):

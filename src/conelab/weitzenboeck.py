@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chart import jet_point
-from .contact import ConeSymplecticData
+from .contact import ContactMetricStructure
 from .geometry import PointGeometry, frame_norm, inner_product, norm_squared, tvalues
 
 # Calibrated once against the torus cone and frozen: with these conventions
@@ -75,7 +75,7 @@ class WeitzenboeckPointData:
     phi: np.ndarray = None            # (B, d, d)
 
 
-def weitzenboeck_data(sympl: ConeSymplecticData, base_pts, radii,
+def weitzenboeck_data(structure: ContactMetricStructure, base_pts, radii,
                       order: int = DEFAULT_ORDER,
                       mode: str = "full") -> WeitzenboeckPointData:
     """Evaluate the terms of the balance identity at batched cone samples.
@@ -89,14 +89,14 @@ def weitzenboeck_data(sympl: ConeSymplecticData, base_pts, radii,
     geometry's cached ``riemann`` outlives its first reader, because Ricci
     and the scalar curvature read it too.
     """
-    cone = sympl.cone
+    cone = structure.cone
     d = cone.dim
     pts = np.column_stack([np.atleast_2d(base_pts), np.asarray(radii, float)])
     geo = PointGeometry(cone.chart, jet_point(cone.chart, pts, order))
     full = mode == "full"
 
-    om = sympl.omega(geo)                    # jets, order-1
-    jj = sympl.complex_structure(geo)        # uses geo.ginv
+    om = structure.omega(geo)                # jets, order-1
+    jj = structure.complex_structure(geo)    # uses geo.ginv
 
     nab_om = geo.covd(om, (0, 2))            # [m, i, j]
 

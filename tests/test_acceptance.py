@@ -122,26 +122,25 @@ def test_criterion_4_einstein_k_contact_instances():
         worst = max(worst, np.max(CT.killing_residuals(st, pts)))
         worst = max(worst, np.max(np.abs(CT.ricci_reeb_deficit(st, pts))))
         worst = max(worst, np.max(CT.sasaki_residuals(st, pts)))
-        sympl = CT.ConeSymplecticData(C.build_cone(entry.chart), st)
         cpts = np.column_stack([pts, radii])
-        worst = max(worst, np.max(CT.parallel_omega_residuals(sympl, cpts)))
+        worst = max(worst, np.max(CT.parallel_omega_residuals(st, cpts)))
     _record(4, "Einstein K-contact spheres are Sasakian with Kaehler cones",
             worst < 1e-7, f"max residual {worst:.3e} < 1e-7")
 
 
 def test_criterion_5_weitzenboeck_blair_cone():
     entry = catalog.get("t3-blair")
-    sympl = CT.ConeSymplecticData(C.build_cone(entry.chart), entry.structures[0])
+    st = entry.structures[0]
     rng, pts, radii, _ = _draw(entry.chart)
-    data = W.weitzenboeck_data(sympl, pts, radii)
+    data = W.weitzenboeck_data(st, pts, radii)
 
     star = np.max(W.star_scalar_consistency(data))
     dirs = rng.unit_vectors(len(pts), 4)
     phi_id = np.max(W.phi_identity_residuals(data, dirs))
     nonneg = float(np.min(data.solved_rpp_sq))
 
-    d1 = W.weitzenboeck_data(sympl, pts, np.ones(len(pts)))
-    d2 = W.weitzenboeck_data(sympl, pts, np.full(len(pts), 2.0))
+    d1 = W.weitzenboeck_data(st, pts, np.ones(len(pts)))
+    d2 = W.weitzenboeck_data(st, pts, np.full(len(pts), 2.0))
     f1 = d1.s_star
     f2 = d2.s_star * 4.0
     prof = np.max(np.abs(f1 - f2) / np.maximum(np.abs(f1), 1e-12))
@@ -174,14 +173,9 @@ def test_criterion_6_integrated_step():
 
 def test_criterion_7_structure_algebra():
     entry = catalog.get("s3-round")
-    cn = C.build_cone(entry.chart)
-
-    def sympl(spec):
-        st = CT.ContactMetricStructure(entry.chart, spec.xi, spec.name)
-        return CT.ConeSymplecticData(cn, st)
-
-    sympl_i, sympl_j, sympl_k = (sympl(spec) for spec in entry.structures)
-    pair = P.StructurePair(sympl_i, sympl_j)
+    st_i, st_j, st_k = (CT.ContactMetricStructure(entry.chart, spec.xi, spec.name)
+                        for spec in entry.structures)
+    pair = P.StructurePair(st_i, st_j)
     rng, pts, radii, _ = _draw(entry.chart)
     cpts = np.column_stack([pts, radii])
     lam, qres, var = P.anticommutator_lambda(pair, cpts)
@@ -189,7 +183,7 @@ def test_criterion_7_structure_algebra():
     par = np.max(P.parallel_third_structure_residuals(pair, cpts, lam))
     quat = max(np.max(v) for v in
                P.quaternion_relation_residuals(pair, cpts, lam).values())
-    _, resid_k, unit_k = P.s2_family_coefficients(pair, sympl_k, cpts, lam)
+    _, resid_k, unit_k = P.s2_family_coefficients(pair, st_k, cpts, lam)
 
     raw = rng.uniforms(3, -1, 1)
     a, b, c_ = raw / np.linalg.norm(raw)
@@ -197,8 +191,7 @@ def test_criterion_7_structure_algebra():
         entry.chart, catalog.reeb_combination(entry.structures, (a, b, c_)),
         "combo")
     sas = np.max(CT.sasaki_residuals(st, pts))
-    combo = CT.ConeSymplecticData(cn, st)
-    coeffs, resid_c, unit_c = P.s2_family_coefficients(pair, combo, cpts, lam)
+    coeffs, resid_c, unit_c = P.s2_family_coefficients(pair, st, cpts, lam)
     landed = np.max(np.abs(coeffs - np.array([c_, a, b])))
 
     ok = (abs(lam) < 1e-8 and np.max(qres) < 1e-8 and a2 < 1e-8

@@ -53,8 +53,8 @@ def _structure(entry, k=0):
 
 def _weitzenboeck(key, mode):
     entry = catalog.get(key)
-    sympl = CT.ConeSymplecticData(C.build_cone(entry.chart), _structure(entry))
-    return lambda pts, radii: W.weitzenboeck_data(sympl, pts, radii,
+    structure = _structure(entry)
+    return lambda pts, radii: W.weitzenboeck_data(structure, pts, radii,
                                                   WEITZENBOECK_ORDER, mode)
 
 
@@ -75,23 +75,21 @@ def _lemmas(key):
 def _contact(key):
     entry = catalog.get(key)
     structure = _structure(entry)
-    sympl = CT.ConeSymplecticData(C.build_cone(entry.chart), structure)
 
     def run(pts, radii):
         cpts = np.column_stack([pts, radii])
         return [kernel(structure, pts) for kernel in (
             CT.unit_length_residuals, CT.kc_residuals, CT.reeb_residuals,
-            CT.killing_residuals, CT.ricci_reeb_deficit, CT.sasaki_residuals)] + [CT.symplectic_residuals(sympl, cpts),
-                                     CT.parallel_omega_residuals(sympl, cpts)]
+            CT.killing_residuals, CT.ricci_reeb_deficit, CT.sasaki_residuals)] + [
+            CT.symplectic_residuals(structure, cpts),
+            CT.parallel_omega_residuals(structure, cpts)]
 
     return run
 
 
 def _pairs(key):
     entry = catalog.get(key)
-    cn = C.build_cone(entry.chart)
-    first, second, third = (CT.ConeSymplecticData(cn, _structure(entry, k))
-                            for k in range(3))
+    first, second, third = (_structure(entry, k) for k in range(3))
     pair = P.StructurePair(first, second)
 
     def run(pts, radii):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conelab import contact as CT
-from conelab import cone as C
 from conelab.chart import jet_point
 from conelab.geometry import PointGeometry, tvalues
 from conelab.rng import SplitMix64
@@ -113,11 +112,9 @@ def test_sasaki_classification(blair, s3, s5):
 
 def test_cone_symplectic_data(blair, s3):
     for entry in (blair, s3):
-        sympl = CT.ConeSymplecticData(C.build_cone(entry.chart),
-                                      entry.structures[0])
         pts, radii, _ = sample(entry.chart, 30, seed=115)
         cpts = np.column_stack([pts, radii])
-        res = CT.symplectic_residuals(sympl, cpts)
+        res = CT.symplectic_residuals(entry.structures[0], cpts)
         assert np.max(res["symplectic-closed"]) < 1e-9
         assert np.max(res["symplectic-norm"]) < 1e-9   # |Omega|^2 = dim = 2n+2
         assert np.max(res["complex-square"]) < 1e-9
@@ -126,20 +123,19 @@ def test_cone_symplectic_data(blair, s3):
 
 def test_cone_symplectic_rejects_invalid_base(unnormalized):
     """Over a base that misses the contact metric axiom, J^2 != -Id."""
-    cn = C.build_cone(unnormalized.chart)
-    sympl = CT.ConeSymplecticData(cn, unnormalized.structures[0])
-    cpts = cn.chart.sample_points(25, SplitMix64(1202))
-    assert np.max(CT.symplectic_residuals(sympl, cpts)["complex-square"]) > 1e-8
+    st = unnormalized.structures[0]
+    cpts = st.cone.chart.sample_points(25, SplitMix64(1202))
+    assert np.max(CT.symplectic_residuals(st, cpts)["complex-square"]) > 1e-8
 
 
 def test_j_radial_action_and_ambient_match(s3):
     """J d_r = xi / r, and on the flat cone J matches the ambient i."""
     st = s3.structures[0]
-    sympl = CT.ConeSymplecticData(C.build_cone(s3.chart), st)
     pts, radii, _ = sample(s3.chart, 15, seed=125)
     cpts = np.column_stack([pts, radii])
-    geo = PointGeometry(sympl.cone.chart, jet_point(sympl.cone.chart, cpts, 1))
-    j = tvalues(sympl.complex_structure(geo))
+    chart = st.cone.chart
+    geo = PointGeometry(chart, jet_point(chart, cpts, 1))
+    j = tvalues(st.complex_structure(geo))
     xi = tvalues(st.xi(geo.x[:-1]))
     for b in range(len(cpts)):
         want_r = np.concatenate([xi[b] / radii[b], [0.0]])
@@ -152,15 +148,13 @@ def test_j_radial_action_and_ambient_match(s3):
 def test_parallel_omega_iff_sasaki(blair, s3):
     pts_b, radii_b, _ = sample(blair.chart, 40, seed=135)
     st_b = CT.ContactMetricStructure(blair.chart, blair.structures[0].xi, "blair")
-    sympl_b = CT.ConeSymplecticData(C.build_cone(blair.chart), st_b)
-    par_b = CT.parallel_omega_residuals(sympl_b, np.column_stack([pts_b, radii_b]))
+    par_b = CT.parallel_omega_residuals(st_b, np.column_stack([pts_b, radii_b]))
     sas_b = CT.sasaki_residuals(st_b, pts_b)
     assert np.min(par_b) > 0.1 and np.max(sas_b) > 0.1
 
     pts_s, radii_s, _ = sample(s3.chart, 40, seed=145)
     st_s = CT.ContactMetricStructure(s3.chart, s3.structures[0].xi, "i")
-    sympl_s = CT.ConeSymplecticData(C.build_cone(s3.chart), st_s)
-    par_s = CT.parallel_omega_residuals(sympl_s, np.column_stack([pts_s, radii_s]))
+    par_s = CT.parallel_omega_residuals(st_s, np.column_stack([pts_s, radii_s]))
     sas_s = CT.sasaki_residuals(st_s, pts_s)
     assert np.max(par_s) < 1e-7 and np.max(sas_s) < 1e-7
 
@@ -196,9 +190,8 @@ def test_report_operations(blair, s3):
     assert rep.verdict == "fail" and rep.witness is not None
 
     st_s = CT.ContactMetricStructure(s3.chart, s3.structures[0].xi, "i")
-    sympl = CT.ConeSymplecticData(C.build_cone(s3.chart), st_s)
     pts_s, radii_s, _ = sample(s3.chart, 20, seed=175)
     cpts_s = np.column_stack([pts_s, radii_s])
     rep = make_report("parallel-omega", "parallel Omega iff Sasakian",
-                      CT.parallel_omega_residuals(sympl, cpts_s), 1e-7, cpts_s)
+                      CT.parallel_omega_residuals(st_s, cpts_s), 1e-7, cpts_s)
     assert rep.verdict == "pass"

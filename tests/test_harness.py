@@ -293,6 +293,19 @@ def test_cli_integrate_engine_error_is_one_stderr_line(monkeypatch, capsys):
     assert captured.err == "MemoryError: Unable to allocate 74.5 TiB\n"
 
 
+def test_cli_integrate_non_finite_value_is_one_stderr_line(monkeypatch, capsys):
+    """A NaN integral is no value: `integrate` prints nothing on stdout and
+    exits 1 with one stderr line, as `verify` errors a NaN residual."""
+    monkeypatch.setattr("conelab.suites.integrand_values",
+                        lambda entry, name, data, r: data.div_term * np.nan)
+    assert cli_main(["integrate", "divergence-pairing", "--manifold", "t3-blair",
+                     "--radius", "1.0", "--grid", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("FloatingPointError: ")
+    assert "nan" in captured.err and captured.err.count("\n") == 1
+
+
 def test_cli_verify_engine_error_is_one_stderr_line(monkeypatch, capsys):
     """An exception outside any kernel, such as the sample draw failing to
     allocate at a huge --samples, ends `verify` with exit 1 and one stderr
@@ -442,6 +455,8 @@ def test_traced_benchmark_pass_repeats_the_recorded_counts(workload, tmp_path):
 @pytest.mark.parametrize("suite, manifold, orders", [
     ("cone-identities", "s3-round", (2, 3, 4)),
     ("weitzenboeck", "t3-blair", (4, 5, 6)),
+    ("cone-identities", "s5-round", (2, 3, 4)),
+    ("weitzenboeck", "s3-round", (4, 5, 6)),
 ])
 def test_reports_do_not_depend_on_jet_order(suite, manifold, orders):
     """Exact jets: once the seeded order covers every derivative a suite

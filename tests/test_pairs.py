@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conelab import catalog
-from conelab import cone as C
 from conelab import contact as CT
 from conelab import pairs as P
 from conelab.errors import DegeneratePairError
@@ -15,14 +14,9 @@ from .conftest import geometry, sample
 
 @pytest.fixture(scope="module")
 def sphere_pair(s3):
-    cn = C.build_cone(s3.chart)
-
-    def sympl(spec):
-        st = CT.ContactMetricStructure(s3.chart, spec.xi, spec.name)
-        return CT.ConeSymplecticData(cn, st)
-
-    sympl_i, sympl_j, sympl_k = (sympl(spec) for spec in s3.structures)
-    return P.StructurePair(sympl_i, sympl_j), sympl_k, cn
+    st_i, st_j, st_k = (CT.ContactMetricStructure(s3.chart, spec.xi, spec.name)
+                        for spec in s3.structures)
+    return P.StructurePair(st_i, st_j), st_k
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +26,7 @@ def cone_samples(s3):
 
 
 def test_lambda_vanishes_for_orthogonal_pair(sphere_pair, cone_samples):
-    pair, _, _ = sphere_pair
+    pair, _ = sphere_pair
     cpts, _ = cone_samples
     lam, res, var = P.anticommutator_lambda(pair, cpts)
     assert abs(lam) < 1e-10
@@ -42,7 +36,7 @@ def test_lambda_vanishes_for_orthogonal_pair(sphere_pair, cone_samples):
 
 def test_lambda_boundary_cases(sphere_pair, cone_samples):
     """J' = J gives lambda = -2; J' = -J gives +2; both are degenerate."""
-    pair, _, cn = sphere_pair
+    pair, _ = sphere_pair
     cpts, _ = cone_samples
     same = P.StructurePair(pair.first, pair.first)
     lam, _, _ = P.anticommutator_lambda(same, cpts)
@@ -53,27 +47,26 @@ def test_lambda_boundary_cases(sphere_pair, cone_samples):
     first = pair.first
 
     def neg_xi(x):
-        return np.array([v * (-1.0) for v in first.structure.xi(x)],
-                        dtype=object)
+        return np.array([v * (-1.0) for v in first.xi(x)], dtype=object)
 
-    st_neg = CT.ContactMetricStructure(first.structure.chart, neg_xi, "neg")
-    flipped = P.StructurePair(first, CT.ConeSymplecticData(cn, st_neg))
+    st_neg = CT.ContactMetricStructure(first.chart, neg_xi, "neg")
+    flipped = P.StructurePair(first, st_neg)
     lam2, _, _ = P.anticommutator_lambda(flipped, cpts)
     assert lam2 == pytest.approx(2.0, abs=1e-12)
 
 
 def test_commutator_square(sphere_pair, cone_samples):
-    pair, _, _ = sphere_pair
+    pair, _ = sphere_pair
     cpts, _ = cone_samples
     assert np.max(P.commutator_square_residuals(pair, cpts, 0.0)) < 1e-10
 
 
 def test_third_structure_is_k(sphere_pair, cone_samples):
     """I from the (i, j) pair equals the catalog k-structure's J exactly."""
-    pair, sympl_k, _ = sphere_pair
+    pair, st_k = sphere_pair
     cpts, _ = cone_samples
     geo, _, _, i_ = P.third_structure_values(pair, cpts, 0.0)
-    jk = tvalues(sympl_k.complex_structure(geo))
+    jk = tvalues(st_k.complex_structure(geo))
     assert np.max(np.abs(i_ - jk)) < 1e-10
 
     res = P.third_structure_residuals(pair, cpts, 0.0)
@@ -82,13 +75,13 @@ def test_third_structure_is_k(sphere_pair, cone_samples):
 
 
 def test_third_structure_parallel(sphere_pair, cone_samples):
-    pair, _, _ = sphere_pair
+    pair, _ = sphere_pair
     cpts, _ = cone_samples
     assert np.max(P.parallel_third_structure_residuals(pair, cpts, 0.0)) < 1e-10
 
 
 def test_quaternion_relations(sphere_pair, cone_samples):
-    pair, _, _ = sphere_pair
+    pair, _ = sphere_pair
     cpts, _ = cone_samples
     res = P.quaternion_relation_residuals(pair, cpts, 0.0)
     for key, vals in res.items():
@@ -97,9 +90,9 @@ def test_quaternion_relations(sphere_pair, cone_samples):
 
 def test_s2_family_readout(sphere_pair, cone_samples):
     """The k-structure reads out as the I axis; unit norm; constant."""
-    pair, sympl_k, _ = sphere_pair
+    pair, st_k = sphere_pair
     cpts, _ = cone_samples
-    coeffs, resid, unit = P.s2_family_coefficients(pair, sympl_k, cpts, 0.0)
+    coeffs, resid, unit = P.s2_family_coefficients(pair, st_k, cpts, 0.0)
     assert np.max(np.abs(coeffs - np.array([1.0, 0.0, 0.0]))) < 1e-10
     assert np.max(resid) < 1e-10
     assert np.max(unit) < 1e-10
@@ -112,15 +105,14 @@ def test_s2_family_random_combination(sphere_pair, cone_samples, s3, rng):
     over (I, J, K) with J the i-structure and I the k-structure, and the
     cone map xi -> J(xi) is linear, with K = I J recovering the j-structure.
     """
-    pair, _, _ = sphere_pair
+    pair, _ = sphere_pair
     cpts, pts = cone_samples
     raw = rng.uniforms(3, -1, 1)
     a, b, c = raw / np.linalg.norm(raw)
     xi = catalog.reeb_combination(s3.structures, (a, b, c))
     st = CT.ContactMetricStructure(s3.chart, xi, "combo")
     assert np.max(CT.sasaki_residuals(st, pts)) < 1e-6
-    combo = CT.ConeSymplecticData(pair.cone, st)
-    coeffs, resid, unit = P.s2_family_coefficients(pair, combo, cpts, 0.0)
+    coeffs, resid, unit = P.s2_family_coefficients(pair, st, cpts, 0.0)
     assert np.max(resid) < 1e-10
     assert np.max(unit) < 1e-10
     assert np.max(np.abs(coeffs - np.array([c, a, b]))) < 1e-10
@@ -128,21 +120,18 @@ def test_s2_family_random_combination(sphere_pair, cone_samples, s3, rng):
 
 
 def test_mismatched_cones_rejected(s3, blair):
-    cn_s = C.build_cone(s3.chart)
-    cn_t = C.build_cone(blair.chart)
     st_s = CT.ContactMetricStructure(s3.chart, s3.structures[0].xi, "i")
     st_t = CT.ContactMetricStructure(blair.chart, blair.structures[0].xi, "b")
     with pytest.raises(ValueError):
-        P.StructurePair(CT.ConeSymplecticData(cn_s, st_s),
-                        CT.ConeSymplecticData(cn_t, st_t))
+        P.StructurePair(st_s, st_t)
 
 
 def test_theorem_dichotomy_disjunction(sphere_pair, cone_samples, s3):
     """Either branch may hold; the flat sphere cone realises both, and the
     tests assert only the disjunction: quaternionic triple or flat cone."""
-    pair, _, cn = sphere_pair
+    pair, _ = sphere_pair
     cpts, _ = cone_samples
-    flat = np.max(np.abs(tvalues(geometry(cn.chart, cpts[0], 2).riemann))) < 1e-9
+    flat = np.max(np.abs(tvalues(geometry(pair.cone.chart, cpts[0], 2).riemann))) < 1e-9
     res = P.quaternion_relation_residuals(pair, cpts, 0.0)
     triple = max(np.max(v) for v in res.values()) < 1e-8
     assert triple or flat
@@ -154,13 +143,13 @@ def test_third_structure_algebra_and_family_report(sphere_pair, cone_samples):
     member of the family, as a passing report."""
     from conelab.report import make_report
 
-    pair, sympl_k, _ = sphere_pair
+    pair, st_k = sphere_pair
     cpts, _ = cone_samples
     res = P.third_structure_residuals(pair, cpts, 0.0)
     assert max(float(np.max(v)) for v in res.values()) <= 1e-6
     _, _, _, i_ = P.third_structure_values(pair, cpts, 0.0)
     assert i_.shape == (len(cpts), 4, 4)
-    _, resid, unit = P.s2_family_coefficients(pair, sympl_k, cpts, 0.0)
+    _, resid, unit = P.s2_family_coefficients(pair, st_k, cpts, 0.0)
     rep = make_report("s2-family-unit", "S^2-family of Sasakian structures",
                       np.maximum(resid, unit), 1e-8, cpts)
     assert rep.verdict == "pass"

@@ -12,33 +12,31 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conelab import cone as C
 from conelab import contact as CT
 from conelab import weitzenboeck as W
 
 from .conftest import sample
 
 
-def _sympl(entry):
+def _structure(entry):
     spec = entry.structures[0]
-    st = CT.ContactMetricStructure(entry.chart, spec.xi, spec.name)
-    return CT.ConeSymplecticData(C.build_cone(entry.chart), st)
+    return CT.ContactMetricStructure(entry.chart, spec.xi, spec.name)
 
 
 @pytest.fixture(scope="module")
 def blair_data(blair):
-    sympl = _sympl(blair)
+    st = _structure(blair)
     pts, radii, _ = sample(blair.chart, 40, seed=9)
-    return sympl, pts, radii, W.weitzenboeck_data(sympl, pts, radii)
+    return st, pts, radii, W.weitzenboeck_data(st, pts, radii)
 
 
 def test_calibration_constant_is_global(blair, s3, s5):
     """s* - s = |nab Omega|^2 with one frozen constant on all catalog cones."""
     cases = [(blair, 24), (s3, 24), (s5, 8)]
     for entry, n in cases:
-        sympl = _sympl(entry)
+        st = _structure(entry)
         pts, radii, _ = sample(entry.chart, n, seed=19)
-        data = W.weitzenboeck_data(sympl, pts, radii)
+        data = W.weitzenboeck_data(st, pts, radii)
         res = W.star_scalar_consistency(data)
         assert np.max(res) < 1e-6, entry.key
 
@@ -82,10 +80,10 @@ def test_ricci_split(blair_data):
 
 
 def test_radial_blocks(blair_data):
-    sympl, pts, _, data = blair_data
+    st, pts, _, data = blair_data
     assert np.max(W.radial_parallel_residuals(data)) < 1e-12
-    d1 = W.weitzenboeck_data(sympl, pts, np.ones(len(pts)))
-    d2 = W.weitzenboeck_data(sympl, pts, np.full(len(pts), 2.0))
+    d1 = W.weitzenboeck_data(st, pts, np.ones(len(pts)))
+    d2 = W.weitzenboeck_data(st, pts, np.full(len(pts), 2.0))
     b1, m1 = W.omega_derivative_blocks(d1)
     b2, m2 = W.omega_derivative_blocks(d2)
     assert np.max(np.abs(b1 - b2)) < 1e-12
@@ -94,9 +92,9 @@ def test_radial_blocks(blair_data):
 
 def test_pairing_form_profile(blair_data):
     """<rho*, nab_. Omega> = alpha / r^2 with a base 1-form alpha."""
-    sympl, pts, _, _ = blair_data
-    d1 = W.weitzenboeck_data(sympl, pts, np.ones(len(pts)))
-    d2 = W.weitzenboeck_data(sympl, pts, np.full(len(pts), 2.0))
+    st, pts, _, _ = blair_data
+    d1 = W.weitzenboeck_data(st, pts, np.ones(len(pts)))
+    d2 = W.weitzenboeck_data(st, pts, np.full(len(pts), 2.0))
     a1 = d1.pairing_form * 1.0
     a2 = d2.pairing_form * 4.0
     assert np.max(np.abs(a1 - a2)) < 1e-11
@@ -104,15 +102,15 @@ def test_pairing_form_profile(blair_data):
 
 
 def test_solved_curvature_nonnegative_and_scales(blair_data):
-    sympl, pts, radii, data = blair_data
+    st, pts, radii, data = blair_data
     assert np.min(data.solved_rpp_sq) > -1e-5
-    d1 = W.weitzenboeck_data(sympl, pts, np.ones(len(pts)))
-    d2 = W.weitzenboeck_data(sympl, pts, np.full(len(pts), 2.0))
+    d1 = W.weitzenboeck_data(st, pts, np.ones(len(pts)))
+    d2 = W.weitzenboeck_data(st, pts, np.full(len(pts), 2.0))
     assert np.max(W.scaling_ratio(d1.solved_rpp_sq, d2.solved_rpp_sq,
                                   1.0, 2.0)) < 1e-10
     # every term of the balance scales as r^{-4}, checked across
     # radii 1, 2 and 3
-    d3 = W.weitzenboeck_data(sympl, pts, np.full(len(pts), 3.0))
+    d3 = W.weitzenboeck_data(st, pts, np.full(len(pts), 3.0))
     for name in ("lap_s_diff", "div_term", "ric_div_term", "ric_anti_sq",
                  "rough_sq", "phi_sq", "rho_phi", "rho_rough",
                  "solved_rpp_sq"):
@@ -132,9 +130,9 @@ def test_balance_identity_reassembles(blair_data):
 
 
 def test_kaehler_cone_everything_vanishes(s3):
-    sympl = _sympl(s3)
+    st = _structure(s3)
     pts, radii, _ = sample(s3.chart, 20, seed=29)
-    data = W.weitzenboeck_data(sympl, pts, radii)
+    data = W.weitzenboeck_data(st, pts, radii)
     for name in ("s", "s_star", "nab_omega_sq", "div_term", "ric_div_term",
                  "ric_anti_sq", "rough_sq", "phi_sq", "rho_phi", "rho_rough"):
         assert np.max(np.abs(getattr(data, name))) < 1e-9, name
@@ -151,12 +149,12 @@ def test_curvature_pass_peak_memory(blair):
     7.52 MiB with each dropped after its step (s3-round: 10.70 -> 7.77 MiB).
     The bound sits between the two.
     """
-    sympl = _sympl(blair)
+    st = _structure(blair)
     pts, radii, _ = sample(blair.chart, 20)
-    W.weitzenboeck_data(sympl, pts, radii, order=6)
+    W.weitzenboeck_data(st, pts, radii, order=6)
     tracemalloc.start()
     try:
-        W.weitzenboeck_data(sympl, pts, radii, order=6)
+        W.weitzenboeck_data(st, pts, radii, order=6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -164,8 +162,8 @@ def test_curvature_pass_peak_memory(blair):
 
 
 def test_divergence_mode_matches_full(blair_data):
-    sympl, pts, radii, data = blair_data
-    slim = W.weitzenboeck_data(sympl, pts, radii, order=4, mode="divergence")
+    st, pts, radii, data = blair_data
+    slim = W.weitzenboeck_data(st, pts, radii, order=4, mode="divergence")
     assert np.max(np.abs(slim.div_term - data.div_term)) < 1e-10
     assert np.max(np.abs(slim.ric_div_term - data.ric_div_term)) < 1e-10
     assert slim.solved_rpp_sq is None
@@ -185,24 +183,24 @@ def test_scalar_invariants_frame_independent(blair_data):
     assert np.max(np.abs(framed - data.nab_omega_sq)) < 1e-11
 
 
-def _profiles(sympl, pts, r1=1.0, r2=2.0):
-    d1 = W.weitzenboeck_data(sympl, pts, np.full(len(pts), r1))
-    d2 = W.weitzenboeck_data(sympl, pts, np.full(len(pts), r2))
+def _profiles(st, pts, r1=1.0, r2=2.0):
+    d1 = W.weitzenboeck_data(st, pts, np.full(len(pts), r1))
+    d2 = W.weitzenboeck_data(st, pts, np.full(len(pts), r2))
     return W.radial_profiles(d1, d2, r1, r2)
 
 
 def test_radial_profile_operation(blair, s3):
-    sympl_b = _sympl(blair)
+    st_b = _structure(blair)
     pts, _, _ = sample(blair.chart, 10, seed=39)
-    prof = _profiles(sympl_b, pts)
+    prof = _profiles(st_b, pts)
     assert np.max(np.abs(prof["f"] - 2.0)) < 1e-11
     assert np.max(np.maximum(prof["f-drift"], prof["alpha-drift"])) < 1e-11
     assert np.max(prof["f-positivity"]) == 0.0
     assert np.max(np.abs(prof["alpha"])) < 1e-12
 
-    sympl_s = _sympl(s3)
+    st_s = _structure(s3)
     pts_s, _, _ = sample(s3.chart, 8, seed=49)
-    prof_s = _profiles(sympl_s, pts_s)
+    prof_s = _profiles(st_s, pts_s)
     assert np.max(np.abs(prof_s["f"])) < 1e-10          # Kaehler: f == 0
     assert np.max(np.abs(prof_s["alpha"])) < 1e-10
     assert np.max(prof_s["f-positivity"]) == 0.0
@@ -210,8 +208,8 @@ def test_radial_profile_operation(blair, s3):
 
 def test_solve_wrapper(blair):
     """The solved 8|R''|^2 is positive on the torus cone and scales as r^-4."""
-    sympl = _sympl(blair)
+    st = _structure(blair)
     pts, radii, _ = sample(blair.chart, 6, seed=59)
-    vals = W.weitzenboeck_data(sympl, pts, radii).solved_rpp_sq
+    vals = W.weitzenboeck_data(st, pts, radii).solved_rpp_sq
     assert np.min(vals) > 0
     assert np.max(np.abs(vals * radii**4 - vals[0] * radii[0]**4)) < 1e-8
