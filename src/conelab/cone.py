@@ -8,14 +8,15 @@ dimension 2n+2 with coordinates (base coords, r) and block metric
 so all of the generic tensor machinery applies unchanged.  Identity checks
 are deliberately dual-path: left-hand sides come from the cone chart's own
 connection and curvature, right-hand sides from base-chart quantities plus
-explicit powers of r.  Nothing is tautological.  Every residual kernel takes
-the cone geometry and the base geometry its caller built, so one suite
-evaluates all of its identities on one pair of jet points.
+explicit powers of r.  Nothing is tautological.  The cone is nothing but
+that chart: its caller keeps the base chart it was built from and passes it
+wherever base quantities are needed.  Every residual kernel takes the cone
+geometry and the base geometry its caller built, so one suite evaluates all
+of its identities on one pair of jet points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,27 +31,13 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
-class ConeChart:
-    """Cone over `base`, realised as the derived chart `chart`."""
-
-    base: ManifoldChart
-    chart: ManifoldChart
-
-    @property
-    def n(self) -> int:
-        return (self.base.dim - 1) // 2
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim + 1
-
-
 # radial range of every catalog cone; the apex r = 0 is excluded
 R_RANGE = (0.25, 4.0)
 
 
-def build_cone(base: ManifoldChart) -> ConeChart:
+def build_cone(base: ManifoldChart) -> ManifoldChart:
+    """The cone over `base` as a chart of one more dimension, r last; it does
+    not keep `base`, which its caller already holds."""
     d = base.dim
 
     def cone_metric(x):
@@ -63,7 +50,7 @@ def build_cone(base: ManifoldChart) -> ConeChart:
         out[d][d] = 1.0
         return out
 
-    chart = ManifoldChart(
+    return ManifoldChart(
         dim=d + 1,
         coords=base.coords + ("r",),
         domain=base.domain + (R_RANGE,),
@@ -71,7 +58,6 @@ def build_cone(base: ManifoldChart) -> ConeChart:
         metric=cone_metric,
         label=f"cone({base.label})",
     )
-    return ConeChart(base, chart)
 
 
 # -- lifts --------------------------------------------------------------------
@@ -100,13 +86,13 @@ def lift_form(base_fn: Callable, degree: int) -> Callable:
 # cone's radial coordinate jet.
 
 
-def cone_geometry(cone: ConeChart, base_pts, radii, order):
+def cone_geometry(cone: ManifoldChart, base_pts, radii, order):
     pts = np.column_stack([np.atleast_2d(base_pts), np.asarray(radii, float)])
-    return PointGeometry(cone.chart, jet_point(cone.chart, pts, order))
+    return PointGeometry(cone, jet_point(cone, pts, order))
 
 
-def base_geometry(cone: ConeChart, base_pts, order):
-    return PointGeometry(cone.base, jet_point(cone.base, base_pts, order))
+def base_geometry(base: ManifoldChart, base_pts, order):
+    return PointGeometry(base, jet_point(base, base_pts, order))
 
 
 def connection_relation_residuals(geo, bgeo, dir_x, dir_y):
@@ -258,13 +244,14 @@ def lemma_laplacian_residuals(geo, bgeo, f_base_fn, k):
     return np.abs(lhs - rhs), lhs, rhs
 
 
-def block_metric_residuals(cone, base_pts, radii):
-    """Literal check of the block structure of the cone metric."""
+def block_metric_residuals(base: ManifoldChart, base_pts, radii):
+    """Literal check of the block structure of the cone that build_cone
+    makes over `base`."""
     pts = np.column_stack([np.atleast_2d(base_pts), np.asarray(radii, float)])
-    gc = cone.chart.metric_values(pts)
-    gb = cone.base.metric_values(np.atleast_2d(base_pts))
+    gc = build_cone(base).metric_values(pts)
+    gb = base.metric_values(np.atleast_2d(base_pts))
     r = np.asarray(radii, float)
-    d = cone.base.dim
+    d = base.dim
     res_rr = np.abs(gc[:, d, d] - 1.0)
     res_mixed = np.max(np.abs(gc[:, d, :d]), axis=1)
     res_base = np.max(np.abs(gc[:, :d, :d] - r[:, None, None] ** 2 * gb), axis=(1, 2))

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .chart import ManifoldChart, jet_point
-from .cone import ConeChart, build_cone
+from .cone import build_cone
 from .geometry import (
     PointGeometry,
     exterior_derivative,
@@ -69,7 +69,7 @@ class ContactMetricStructure:
     # -- the cone's 2-form and complex structure ------------------------------
 
     @property
-    def cone(self) -> ConeChart:
+    def cone(self) -> ManifoldChart:
         return build_cone(self.chart)
 
     def omega(self, geo: PointGeometry):
@@ -172,7 +172,7 @@ def sasaki_residuals(structure, points):
 def symplectic_residuals(structure: ContactMetricStructure, points):
     """dOmega = 0, |Omega|^2 = dim, J isometry; per-point residuals."""
     cone = structure.cone
-    geo = PointGeometry(cone.chart, jet_point(cone.chart, points, 2))
+    geo = PointGeometry(cone, jet_point(cone, points, 2))
     d = cone.dim
     om = structure.omega(geo)
     dom = tvalues(exterior_derivative(om))
@@ -190,7 +190,7 @@ def symplectic_residuals(structure: ContactMetricStructure, points):
 
 def parallel_omega_residuals(structure: ContactMetricStructure, points):
     """|nab Omega| per cone point (vanishes iff the base is Sasakian)."""
-    chart = structure.cone.chart
-    geo = PointGeometry(chart, jet_point(chart, points, 3))
+    cone = structure.cone
+    geo = PointGeometry(cone, jet_point(cone, points, 3))
     nab = tvalues(geo.covd(structure.omega(geo), (0, 2)))
     return frame_norm(geo, nab, "lll")

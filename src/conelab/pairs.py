@@ -43,7 +43,7 @@ class StructurePair:
 
 
 def _j_values(pair: StructurePair, points):
-    geo = PointGeometry(pair.cone.chart, jet_point(pair.cone.chart, points, 1))
+    geo = PointGeometry(pair.cone, jet_point(pair.cone, points, 1))
     j1 = tvalues(pair.first.complex_structure(geo))
     j2 = tvalues(pair.second.complex_structure(geo))
     return geo, j1, j2
@@ -110,7 +110,7 @@ def parallel_third_structure_residuals(pair: StructurePair, points, lam: float):
     if abs(lam) >= 2.0 - 1e-6:
         raise DegeneratePairError("no third structure for |lambda| near 2")
     cone = pair.cone
-    geo = PointGeometry(cone.chart, jet_point(cone.chart, points, 3))
+    geo = PointGeometry(cone, jet_point(cone, points, 3))
     j1 = pair.first.complex_structure(geo)
     j2 = pair.second.complex_structure(geo)
     # one [x, y] term per m: a whole [x, m, y] product tensor costs peak memory

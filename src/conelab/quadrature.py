@@ -3,8 +3,8 @@
 Periodic coordinates use the plain trapezoidal rule (spectrally exact for
 trigonometric polynomials of degree below the node count); bounded
 coordinates use Gauss-Legendre.  Level-set integrals over {r = const} carry
-the volume element of (M, r^2 g), i.e. an explicit r^{2n+1} scaling on top of
-the base volume form.
+the volume element of (M, r^2 g), i.e. an explicit r^dim scaling on top of
+the base volume form (r^{2n+1} on a contact base of dimension 2n+1).
 """
 
 from __future__ import annotations
@@ -56,11 +56,11 @@ def chart_volume(chart: ManifoldChart, counts) -> float:
     return integrate_chart(chart, lambda pts: np.ones(pts.shape[0]), counts)
 
 
-def integrate_level_set(cone, r: float, fn, counts) -> float:
-    """Integral over M_r = {r = const} of the cone.
+def integrate_level_set(base: ManifoldChart, r: float, fn, counts) -> float:
+    """Integral over M_r = {r = const} of the cone over `base`.
 
     fn(base_pts, r) -> (N,) values of the integrand at the slice; the
-    measure is r^{2n+1} times the base volume form.
+    measure is r^dim times the base volume form, dim = base.dim.
     """
-    base_integral = integrate_chart(cone.base, lambda pts: fn(pts, r), counts)
-    return base_integral * r ** (2 * cone.n + 1)
+    base_integral = integrate_chart(base, lambda pts: fn(pts, r), counts)
+    return base_integral * r ** base.dim

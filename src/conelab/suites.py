@@ -131,8 +131,10 @@ _FIELDS = {
     "jet_order": (lambda v: v is None or _is(int, v)
                   and 0 <= v <= _MAX_JET_ORDER,
                   f"an integer in [0, {_MAX_JET_ORDER}]"),
+    # -0.0 passes 0 <= t, so a float's sign bit is read too (an int has none)
     "tolerances": (lambda v: _is(dict, v) and all(
         _is(str, k) and _is((int, float), t) and 0 <= t < math.inf
+        and (_is(int, t) or math.copysign(1.0, t) > 0)
         for k, t in v.items()), "an object of finite tolerances of at least 0"),
     "seed": (lambda v: _is(int, v) and 0 <= v < 2**64,
              "an integer in [0, 2**64)"),
@@ -263,7 +265,7 @@ def _cone_identities(entry, config):
     _, pts, radii, dirs = _draw(entry, config)
     cpts = _cone_points(pts, radii)
     geo = cone_mod.cone_geometry(cn, pts, radii, config.jet_order)
-    bgeo = cone_mod.base_geometry(cn, pts, config.jet_order)
+    bgeo = cone_mod.base_geometry(entry.chart, pts, config.jet_order)
     dim = entry.chart.dim
 
     def forms(fn, degree):
@@ -283,11 +285,13 @@ def _cone_identities(entry, config):
     def lap_r2():
         one = lambda x: x[0] * 0.0 + 1.0
         _, lhs, _ = cone_mod.lemma_laplacian_residuals(geo, bgeo, one, 2)
-        return [np.abs(lhs - (-2.0 * (2 * cn.n + 2)))], cpts
+        return [np.abs(lhs - (-2.0 * (2 * entry.n + 2)))], cpts
 
     return [
+        # the reference string is report data, kept byte for byte
         Row([("cone-block-metric", "ConeChart (g = dr^2 + r^2 g_M)", 1e-12)],
-            lambda: ([cone_mod.block_metric_residuals(cn, pts, radii)], cpts)),
+            lambda: ([cone_mod.block_metric_residuals(entry.chart, pts, radii)],
+                     cpts)),
         Row([(f"cone-{key}", "Eq. (1)", 1e-7) for key in _CONNECTION],
             lambda: _picked(cone_mod.connection_relation_residuals(
                 geo, bgeo, dirs[0], dirs[1]), _CONNECTION, cpts)),
@@ -565,7 +569,7 @@ def _level_set_integrals(entry, r, family, names, grid):
 
         return fn
 
-    return [quadrature.integrate_level_set(st.cone, r, values(name), counts)
+    return [quadrature.integrate_level_set(entry.chart, r, values(name), counts)
             for name in names]
 
 

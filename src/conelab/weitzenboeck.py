@@ -92,7 +92,7 @@ def weitzenboeck_data(structure: ContactMetricStructure, base_pts, radii,
     cone = structure.cone
     d = cone.dim
     pts = np.column_stack([np.atleast_2d(base_pts), np.asarray(radii, float)])
-    geo = PointGeometry(cone.chart, jet_point(cone.chart, pts, order))
+    geo = PointGeometry(cone, jet_point(cone, pts, order))
     full = mode == "full"
 
     om = structure.omega(geo)                # jets, order-1

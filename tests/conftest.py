@@ -38,11 +38,11 @@ def geometry(chart, points, order):
     return PointGeometry(chart, jet_point(chart, points, order))
 
 
-def cone_geometries(cn, pts, radii, order=3):
-    """Cone and base geometry at the same base points, as the suites build
-    them for the residual kernels."""
-    return (C.cone_geometry(cn, pts, radii, order),
-            C.base_geometry(cn, pts, order))
+def cone_geometries(base, pts, radii, order=3):
+    """Geometry of the cone over `base` and of `base` at the same base
+    points, as the suites build them for the residual kernels."""
+    return (C.cone_geometry(C.build_cone(base), pts, radii, order),
+            C.base_geometry(base, pts, order))
 
 
 def sample(chart, n, seed=0xC0FFEE):

@@ -47,11 +47,10 @@ def test_criterion_1_cone_calculus():
     worst = 0.0
     for key in ("t3-blair", "s3-round"):
         entry = catalog.get(key)
-        cn = C.build_cone(entry.chart)
         _, pts, radii, dirs = _draw(entry.chart)
         # one order-3 geometry pair, as the cone-identities suite builds it
-        geo = C.cone_geometry(cn, pts, radii, 3)
-        bgeo = C.base_geometry(cn, pts, 3)
+        geo = C.cone_geometry(C.build_cone(entry.chart), pts, radii, 3)
+        bgeo = C.base_geometry(entry.chart, pts, 3)
         res = C.connection_relation_residuals(geo, bgeo, dirs[0], dirs[1])
         worst = max(worst, max(np.max(v) for v in res.values()))
         res = C.form_relation_residuals(geo, bgeo, dirs[0],
@@ -73,10 +72,9 @@ def test_criterion_2_lemma_dual_paths():
     drift = 0.0
     for key in ("t3-blair", "s3-round"):
         entry = catalog.get(key)
-        cn = C.build_cone(entry.chart)
         _, pts, radii, _ = _draw(entry.chart, n=60)
-        geo = C.cone_geometry(cn, pts, radii, 3)
-        bgeo = C.base_geometry(cn, pts, 3)
+        geo = C.cone_geometry(C.build_cone(entry.chart), pts, radii, 3)
+        bgeo = C.base_geometry(entry.chart, pts, 3)
         for k in (-2, 0, 1, 2, 3):
             for fn in _lemma_oneforms(entry.chart.dim):
                 r, _, _ = C.lemma_codifferential_residuals(geo, bgeo, fn, k)

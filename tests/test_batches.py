@@ -63,7 +63,8 @@ def _lemmas(key):
     cn = C.build_cone(entry.chart)
 
     def run(pts, radii):
-        geo, bgeo = C.cone_geometry(cn, pts, radii, 3), C.base_geometry(cn, pts, 3)
+        geo = C.cone_geometry(cn, pts, radii, 3)
+        bgeo = C.base_geometry(entry.chart, pts, 3)
         oneforms, functions = _lemma_oneforms(entry.chart.dim), _lemma_functions()
         return [(C.lemma_codifferential_residuals(geo, bgeo, oneforms[i], k),
                  C.lemma_laplacian_residuals(geo, bgeo, functions[i], k))

@@ -73,3 +73,21 @@ def test_domain_error(blair, s3):
         jet_point(s3.chart, [2.0, 0.0, 0.0], 2)  # alpha beyond pi/2
     # periodic coordinates accept any value
     jet_point(blair.chart, [17.0, -5.0, 100.0], 2)
+
+
+_FLAT2 = dict(dim=2, coords=("x", "y"), domain=((0.0, 1.0), (0.0, 1.0)),
+              periodic=(None, 1.0), metric=lambda x: [[1.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"domain": ((0.0, 1.0),)}, "inconsistent chart dimensions"),
+    ({"periodic": (None, 1.0, 1.0)}, "inconsistent chart dimensions"),
+    ({"domain": ((0.0, 1.0), (2.0, 2.0))}, "empty coordinate interval"),
+    ({"periodic": (None, 0.0)}, "period > 0"),
+    ({"periodic": (-1.0, None)}, "period > 0"),
+], ids=["domain-dim", "periodic-dim", "empty-interval", "zero-period",
+        "negative-period"])
+def test_malformed_chart_is_refused(fields, message):
+    ManifoldChart(**_FLAT2)  # the well-formed chart these cases each break once
+    with pytest.raises(ValueError, match=message):
+        ManifoldChart(**{**_FLAT2, **fields})

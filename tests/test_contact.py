@@ -124,7 +124,7 @@ def test_cone_symplectic_data(blair, s3):
 def test_cone_symplectic_rejects_invalid_base(unnormalized):
     """Over a base that misses the contact metric axiom, J^2 != -Id."""
     st = unnormalized.structures[0]
-    cpts = st.cone.chart.sample_points(25, SplitMix64(1202))
+    cpts = st.cone.sample_points(25, SplitMix64(1202))
     assert np.max(CT.symplectic_residuals(st, cpts)["complex-square"]) > 1e-8
 
 
@@ -133,8 +133,8 @@ def test_j_radial_action_and_ambient_match(s3):
     st = s3.structures[0]
     pts, radii, _ = sample(s3.chart, 15, seed=125)
     cpts = np.column_stack([pts, radii])
-    chart = st.cone.chart
-    geo = PointGeometry(chart, jet_point(chart, cpts, 1))
+    cone = st.cone
+    geo = PointGeometry(cone, jet_point(cone, cpts, 1))
     j = tvalues(st.complex_structure(geo))
     xi = tvalues(st.xi(geo.x[:-1]))
     for b in range(len(cpts)):

@@ -212,9 +212,11 @@ def test_cli_list_and_exit_codes(tmp_path, capsys):
                          "--report", str(unwritable)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1, err
-    # every residual is >= 0, so a negative tolerance could only fail
-    assert cli_main(["verify", "kcontact", *small,
-                     "--tol", "killing-field:i=-1"]) == 2
+    # every residual is >= 0, so a negative tolerance could only fail;
+    # -0.0 is negative by its sign bit, though it passes 0 <= t
+    for negative in ("-1", "-0.0"):
+        assert cli_main(["verify", "kcontact", *small,
+                         "--tol", f"killing-field:i={negative}"]) == 2, negative
     tol_config = tmp_path / "tol.json"
     tol_config.write_text(json.dumps({"tolerances": {"no-such-identity": 1}}))
     assert cli_main(["verify", "kcontact", *small,
@@ -225,6 +227,7 @@ def test_cli_list_and_exit_codes(tmp_path, capsys):
                     {"samples": True}, {"radii": "12"}, {"jet_order": 2.5},
                     {"tolerances": {"killing-field": "abc"}},
                     {"tolerances": {"killing-field": None}},
+                    {"tolerances": {"killing-field": -0.0}},
                     {"grid": 4}, {"manifold": ["t3-blair"]},
                     {"sample": 3}, {"samples": 2, "suite": "kcontact"})
     for k, content in enumerate(bad_contents):

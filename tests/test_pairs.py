@@ -131,7 +131,7 @@ def test_theorem_dichotomy_disjunction(sphere_pair, cone_samples, s3):
     tests assert only the disjunction: quaternionic triple or flat cone."""
     pair, _ = sphere_pair
     cpts, _ = cone_samples
-    flat = np.max(np.abs(tvalues(geometry(pair.cone.chart, cpts[0], 2).riemann))) < 1e-9
+    flat = np.max(np.abs(tvalues(geometry(pair.cone, cpts[0], 2).riemann))) < 1e-9
     res = P.quaternion_relation_residuals(pair, cpts, 0.0)
     triple = max(np.max(v) for v in res.values()) < 1e-8
     assert triple or flat

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from conelab import cone as C
 from conelab import quadrature as Q
 from conelab.chart import ManifoldChart
+
+# the flat 2-torus, an even-dimensional base
+T2 = ManifoldChart(
+    2, ("u", "v"), ((0.0, 2 * np.pi), (0.0, 2 * np.pi)),
+    (2 * np.pi, 2 * np.pi), lambda x: [[1.0, 0.0], [0.0, 1.0]], "t2")
 
 
 def test_trapezoid_exact_for_trig_polynomials():
@@ -42,22 +46,21 @@ def test_grid_refinement_agreement(blair):
 
 
 def test_level_set_measure(blair, s3):
-    """Integral of 1 over M_r carries the r^{2n+1} factor."""
-    for entry in (blair, s3):
-        cn = C.build_cone(entry.chart)
-        base_vol = entry.known_values["volume"]
+    """Integral of 1 over M_r carries the r^dim factor of the base: r^{2n+1}
+    on the contact bases, r^2 on the flat 2-torus."""
+    cases = [(entry.chart, entry.known_values["volume"], entry.quadrature, 3)
+             for entry in (blair, s3)]
+    cases.append((T2, (2 * np.pi) ** 2, (8, 4), 2))
+    for base, base_vol, counts, power in cases:
         for r in (1.0, 2.0):
             got = Q.integrate_level_set(
-                cn, r, lambda pts, rr: np.ones(len(pts)), entry.quadrature)
-            assert got == pytest.approx(base_vol * r**3, rel=1e-9)
+                base, r, lambda pts, rr: np.ones(len(pts)), counts)
+            assert got == pytest.approx(base_vol * r**power, rel=1e-9)
 
 
 def test_anisotropic_counts():
-    chart = ManifoldChart(
-        2, ("u", "v"), ((0.0, 2 * np.pi), (0.0, 2 * np.pi)),
-        (2 * np.pi, 2 * np.pi), lambda x: [[1.0, 0.0], [0.0, 1.0]], "t2")
-    pts, w = Q.product_rule(chart, (8, 4))
+    pts, w = Q.product_rule(T2, (8, 4))
     assert pts.shape == (32, 2)
     assert np.dot(w, np.ones(32)) == pytest.approx((2 * np.pi) ** 2)
     with pytest.raises(ValueError):
-        Q.product_rule(chart, (8, 4, 2))
+        Q.product_rule(T2, (8, 4, 2))
